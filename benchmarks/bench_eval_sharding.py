@@ -41,6 +41,7 @@ from repro.core.config import ModelConfig
 from repro.core.model import DEKGILP
 from repro.datasets.benchmark import build_benchmark
 from repro.eval.evaluator import Evaluator
+from repro.resilience import usable_cores
 from repro.shm import measure_worker_startup, shm_enabled
 
 WORKER_COUNTS = [1, 2, 4]
@@ -63,14 +64,6 @@ SPEEDUP_GATE = os.environ.get("REPRO_BENCH_EVAL_GATE", "auto") != "off"
 JSON_PATH = os.environ.get(
     "REPRO_BENCH_EVAL_JSON",
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_eval.json"))
-
-
-def _usable_cores() -> int:
-    """Cores this process may actually run on (affinity-aware where possible)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _write_json(results: List[Dict], cores: int,
@@ -158,7 +151,7 @@ def test_eval_sharding_scaling():
             "metrics_identical_to_sequential": True,
         })
 
-    cores = _usable_cores()
+    cores = usable_cores()
     # Startup cost (attach vs deserialize) is measured unconditionally: it
     # needs one spawned probe per mode, not idle cores, so even the 1-core
     # informational runs record it.

@@ -138,6 +138,7 @@ class GSM(Module):
         np.cumsum(node_counts, out=offsets[1:])
 
         features = np.concatenate([subgraph.node_features for subgraph in subgraphs], axis=0)
+        need_keys = self.encoder.needs_edge_keys
         blocks = []
         key_blocks = []
         for subgraph, edges, offset in zip(subgraphs, edges_list, offsets[:-1]):
@@ -149,10 +150,13 @@ class GSM(Module):
                 # Global-identity dropout keys come from the *unshifted*
                 # local edges, so an edge's mask does not depend on which
                 # union block it lands in.
-                key_blocks.append(edge_keys(subgraph.nodes, edges))
+                if need_keys:
+                    key_blocks.append(edge_keys(subgraph.nodes, edges))
         union_edges = np.concatenate(blocks) if blocks else np.zeros((0, 3), dtype=np.int64)
-        union_keys = (np.concatenate(key_blocks) if key_blocks
-                      else np.zeros(0, dtype=np.uint64))
+        union_keys = None
+        if need_keys:
+            union_keys = (np.concatenate(key_blocks) if key_blocks
+                          else np.zeros(0, dtype=np.uint64))
         graph_ids = np.repeat(np.arange(num_graphs), node_counts)
 
         nodes = self.encoder.forward_features(Tensor(features), union_edges,

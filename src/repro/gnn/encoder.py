@@ -46,11 +46,21 @@ class SubgraphEncoder(Module):
         self.hidden_dim = hidden_dim
         self.num_layers = num_layers
 
+    @property
+    def needs_edge_keys(self) -> bool:
+        """Whether a forward pass reads dropout edge keys.
+
+        Only a layer in training mode with a positive dropout rate draws a
+        mask; otherwise hashing the edge identities is wasted work.
+        """
+        return any(layer.training and layer.dropout_rate > 0 for layer in self.layers)
+
     def forward(self, subgraph: ExtractedSubgraph) -> Tensor:
         """Return the ``(num_nodes, hidden_dim)`` matrix of node representations."""
+        keys = (edge_keys(subgraph.nodes, subgraph.edges)
+                if self.needs_edge_keys else None)
         return self.forward_features(Tensor(subgraph.node_features), subgraph.edges,
-                                     edge_identity=edge_keys(subgraph.nodes,
-                                                             subgraph.edges))
+                                     edge_identity=keys)
 
     def forward_features(self, features: Tensor, edges,
                          edge_identity: Optional[Any] = None) -> Tensor:

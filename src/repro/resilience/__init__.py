@@ -10,8 +10,9 @@ Three building blocks the rest of the repo composes:
   corrupts checkpoint bytes on demand, so every recovery path in this
   package is exercised reproducibly in CI;
 * :mod:`repro.resilience.supervisor` — supervised async pool execution
-  with per-task deadlines, dead-worker detection, bounded backoff retry and
-  in-process degradation, which :mod:`repro.eval.sharding` runs on.
+  with per-task deadlines, dead-worker detection, bounded backoff retry,
+  in-process degradation and a per-worker BLAS thread budget, which
+  :mod:`repro.eval.sharding` runs on.
 
 ``python -m repro.resilience.chaos`` is the CI chaos drill: sharded
 evaluation under an injected worker kill and shard hang must produce
@@ -23,7 +24,8 @@ from repro.resilience.atomic import (atomic_write_bytes, atomic_write_json,
 from repro.resilience.faults import (FaultInjected, FaultPlan, FaultSpec,
                                      active_plan, fire, install_fault_plan,
                                      mangle, reset_fault_state)
-from repro.resilience.supervisor import RetryPolicy, SupervisedPool, TaskEvent
+from repro.resilience.supervisor import (RetryPolicy, SupervisedPool, TaskEvent,
+                                         usable_cores)
 
 __all__ = [
     "atomic_write_bytes",
@@ -40,4 +42,5 @@ __all__ = [
     "RetryPolicy",
     "SupervisedPool",
     "TaskEvent",
+    "usable_cores",
 ]

@@ -17,6 +17,7 @@ unit of work misbehave in a *specific* way:
 * ``epoch:1:interrupt`` — simulates Ctrl-C at the start of epoch 1;
 * ``supervisor:3:interrupt`` — simulates Ctrl-C in the parent's shard
   supervision loop, on its fourth poll tick;
+* ``replica:0:kill`` — the serving replica scoring dispatch 0 dies;
 * ``checkpoint:0:corrupt:512`` — flips the byte at offset 512 of the first
   checkpoint payload written to disk this process;
 * ``checkpoint:0:truncate:100`` — truncates that payload to 100 bytes.

@@ -26,7 +26,10 @@ an async dispatch loop that supervises every task individually:
   (slower) instead of hanging;
 * **clean interruption** — ``KeyboardInterrupt`` terminates the pool (hung
   and healthy workers alike; nothing leaks), reports partial progress
-  through ``on_interrupt``, and re-raises.
+  through ``on_interrupt``, and re-raises;
+* **a BLAS thread budget** — workers compute at the same time, so each one
+  starts with ``max(1, usable_cores() // processes)`` BLAS/OpenMP threads
+  instead of one per core (see :func:`_worker_thread_budget`).
 
 Results are collected into a list indexed by task order, so callers reduce
 them exactly as they would a ``pool.map`` return — recovered runs are
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,6 +49,59 @@ from repro.resilience.faults import fire
 
 #: Sentinel distinguishing "no result yet" from a legitimate None result.
 _PENDING = object()
+
+#: Thread-count variables read by the BLAS/OpenMP runtimes numpy may load.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (affinity-aware where possible)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def worker_pids(pool) -> set:
+    """Current worker pids of a ``multiprocessing.Pool``.
+
+    Reads ``Pool`` internals (stable across CPython).  The pool's
+    worker-handler thread reaps a dead worker and starts its replacement,
+    so a killed worker's pid drops out of this set shortly after it dies.
+    """
+    try:
+        return {process.pid for process in pool._pool}
+    except AttributeError:  # pragma: no cover - future-proofing
+        return set()
+
+
+@contextmanager
+def _worker_thread_budget(processes: int):
+    """Give spawn workers started inside this block a BLAS thread budget.
+
+    Every worker would otherwise start one BLAS thread per core, so
+    ``processes`` concurrent workers oversubscribe the machine by that
+    factor.  The budget ``max(1, usable_cores() // processes)`` goes into
+    :data:`THREAD_VARIABLES` of the parent's environment for the duration
+    of the block, because a spawn child inherits the environment at exec
+    and loads OpenBLAS while it unpickles its initializer arguments, before
+    any initializer code runs; workers the pool respawns inside the block
+    inherit it too.  The parent loaded its BLAS long ago, so its own thread
+    count is unaffected.  If the user set any of the variables, none is
+    touched.
+    """
+    if any(name in os.environ for name in THREAD_VARIABLES):
+        yield
+        return
+    budget = str(max(1, usable_cores() // processes))
+    for name in THREAD_VARIABLES:
+        os.environ[name] = budget
+    try:
+        yield
+    finally:
+        for name in THREAD_VARIABLES:
+            os.environ.pop(name, None)
 
 
 @dataclass(frozen=True)
@@ -183,10 +240,6 @@ class SupervisedPool:
                 return []
             context = get_context("spawn")
             channel = context.SimpleQueue()
-            pool = context.Pool(processes=self.processes,
-                                initializer=_supervised_init,
-                                initargs=(channel, self.initializer, self.initargs))
-            completed = 0
 
             def record(kind: str, index: int, attempt: int, detail: str = "") -> TaskEvent:
                 event = TaskEvent(kind=kind, index=index, attempt=attempt, detail=detail)
@@ -196,14 +249,20 @@ class SupervisedPool:
                 return event
 
             try:
-                try:
-                    completed = self._supervise(pool, channel, func, payloads,
-                                                results, fallback, record)
-                finally:
-                    # terminate(), not close(): hung workers never drain a task
-                    # queue, and a killed run must not leak spawn children.
-                    pool.terminate()
-                    pool.join()
+                with _worker_thread_budget(self.processes):
+                    pool = context.Pool(processes=self.processes,
+                                        initializer=_supervised_init,
+                                        initargs=(channel, self.initializer,
+                                                  self.initargs))
+                    try:
+                        self._supervise(pool, channel, func, payloads,
+                                        results, fallback, record)
+                    finally:
+                        # terminate(), not close(): hung workers never drain
+                        # a task queue, and a killed run must not leak spawn
+                        # children.  join() also stops the pool's respawns.
+                        pool.terminate()
+                        pool.join()
             except KeyboardInterrupt:
                 if on_interrupt is not None:
                     completed = sum(1 for r in results if r is not _PENDING)
@@ -238,7 +297,7 @@ class SupervisedPool:
         anonymous_losses = 0
         completed = 0
         tick = 0
-        known_pids = self._worker_pids(pool)
+        known_pids = worker_pids(pool)
 
         def live_slots() -> int:
             return self.processes - len(lost_pids) - anonymous_losses
@@ -290,7 +349,7 @@ class SupervisedPool:
             # Dead-worker detection: a pid that vanished from the pool took
             # its in-flight task with it.  The pool respawns the worker, so
             # capacity is not decremented.
-            current_pids = self._worker_pids(pool)
+            current_pids = worker_pids(pool)
             dead = known_pids - current_pids
             known_pids = current_pids
             if dead:
@@ -354,11 +413,3 @@ class SupervisedPool:
         handle = pool.apply_async(_supervised_call,
                                   (func, index, payloads[index], attempt))
         inflight[index] = _InFlight(handle=handle, attempt=attempt, deadline=deadline)
-
-    @staticmethod
-    def _worker_pids(pool) -> set:
-        """Current worker pids (``Pool`` internals; stable across CPython)."""
-        try:
-            return {process.pid for process in pool._pool}
-        except AttributeError:  # pragma: no cover - future-proofing
-            return set()

@@ -24,12 +24,13 @@ from repro.serving.coalescer import (CoalescerClosed, RequestCoalescer,
                                      ServiceOverloaded)
 from repro.serving.daemon import (ScoringServer, handle_request, run_daemon,
                                   serve, wait_until_serving)
-from repro.serving.replicas import ReplicaPool
+from repro.serving.replicas import ReplicaDied, ReplicaPool
 from repro.serving.service import ScoringService
 
 __all__ = [
     "CoalescerClosed",
     "InProcessClient",
+    "ReplicaDied",
     "ReplicaPool",
     "RequestCoalescer",
     "ScoringServer",

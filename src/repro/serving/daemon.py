@@ -12,7 +12,8 @@ Ops: ``ping``, ``models``, ``score``, ``score_many``, ``rank``,
 failing request never takes the daemon down — the connection gets the
 error line and the loop keeps serving.  When the service's bounded
 pending queue is full the response carries ``"code": "overloaded"`` so
-clients can back off programmatically.  Concurrency comes from
+clients can back off programmatically; a request whose scoring replica
+died answers ``"code": "replica_died"``.  Concurrency comes from
 thread-per-connection accept; compute stays serialized (and batched
 across connections) on the service's coalescer flush thread — which, with
 ``--replicas N``, dispatches each flushed batch to one of N spawned
@@ -40,6 +41,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.resilience import FaultInjected, fire
 from repro.serving.coalescer import ServiceOverloaded
+from repro.serving.replicas import ReplicaDied
 from repro.serving.service import ScoringService
 
 #: Fault site fired once per decoded request line.
@@ -83,6 +85,10 @@ def handle_request(service: ScoringService, request: Dict[str, Any],
         # "code" field lets clients branch on it without parsing prose.
         return {"ok": False, "error": f"overloaded: {error}",
                 "code": "overloaded"}
+    except ReplicaDied as error:
+        # Only this request was lost; the respawned replica serves the next.
+        return {"ok": False, "error": f"replica died: {error}",
+                "code": "replica_died"}
     except FaultInjected as error:
         return {"ok": False, "error": f"degraded: {error}"}
     except (KeyError, TypeError, ValueError) as error:

@@ -22,6 +22,14 @@ its pages — created before the replicas spawn, released on ``close()``
 (idempotent, runs on daemon shutdown, Ctrl-C, and ``with`` exit alike) —
 so no named segment survives the daemon.
 
+A replica that dies mid-request fails only that request: ``score`` waits
+in short polls, learns which replica took the request from a start
+channel, and raises :class:`ReplicaDied` once that pid leaves the pool
+(``multiprocessing.Pool`` itself never completes a task whose worker was
+killed).  The pool respawns the replica, which rebuilds its models from
+the still-live pages on its next request.  Fault site ``replica`` fires in
+the replica at the start of dispatch *N*, after the announcement.
+
 Models that cannot be shipped to a worker (unregistered and unpicklable,
 registered with ``supports_sharded_eval=False``, or still in training
 mode — a replica cannot reproduce mid-stream dropout draws) simply stay
@@ -31,16 +39,32 @@ to replicas, and the rest score on the flush thread as before.
 
 from __future__ import annotations
 
+import os
 import warnings
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.eval.sharding import ReplicaSpec, make_shm_model_spec, restore_model
 from repro.kg.graph import GraphPageSpec, KnowledgeGraph, graph_from_shm, graph_to_shm
 from repro.kg.triple import Triple
+from repro.resilience import fire
+from repro.resilience.supervisor import worker_pids
 from repro.shm import PageHandle, shm_enabled
 
 #: Telemetry key space kept intentionally small; see :meth:`ReplicaPool.stats`.
 _GraphRef = Union[KnowledgeGraph, GraphPageSpec]
+
+#: Fault site fired in the replica once per dispatch, indexed by dispatch.
+REPLICA_FAULT_SITE = "replica"
+#: Seconds between liveness checks while a request is in flight.
+_POLL_SECONDS = 0.05
+
+
+class ReplicaDied(RuntimeError):
+    """The replica scoring a request died before answering it.
+
+    Only that request fails; the pool respawns the replica and later
+    requests are served as usual.
+    """
 
 
 # --------------------------------------------------------------------- #
@@ -52,12 +76,16 @@ _GraphRef = Union[KnowledgeGraph, GraphPageSpec]
 #: failure must surface as a request error, not an initializer crash loop.
 _REPLICA_ARGS = None
 _REPLICA_MODELS = None
+#: Start channel on which a replica announces ``(dispatch, pid)``.
+_REPLICA_CHANNEL = None
 
 
-def _init_replica(specs: Dict[str, ReplicaSpec], graph_ref: _GraphRef) -> None:
-    global _REPLICA_ARGS, _REPLICA_MODELS
+def _init_replica(specs: Dict[str, ReplicaSpec], graph_ref: _GraphRef,
+                  channel) -> None:
+    global _REPLICA_ARGS, _REPLICA_MODELS, _REPLICA_CHANNEL
     _REPLICA_ARGS = (specs, graph_ref)
     _REPLICA_MODELS = None
+    _REPLICA_CHANNEL = channel
 
 
 def _ensure_replica_models() -> Dict[str, Any]:
@@ -75,8 +103,11 @@ def _ensure_replica_models() -> Dict[str, Any]:
     return _REPLICA_MODELS
 
 
-def _replica_score(name: str, triples: List[Tuple[int, int, int]]) -> List[float]:
-    """Score one coalesced group in the replica (exact submitted composition)."""
+def _replica_score(index: int, name: str,
+                   triples: List[Tuple[int, int, int]]) -> List[float]:
+    """Score dispatch ``index`` in the replica (exact submitted composition)."""
+    _REPLICA_CHANNEL.put((index, os.getpid()))
+    fire(REPLICA_FAULT_SITE, index)
     models = _ensure_replica_models()
     scores = models[name].score_many([Triple(*t) for t in triples])
     return [float(score) for score in scores]
@@ -88,10 +119,11 @@ def _replica_score(name: str, triples: List[Tuple[int, int, int]]) -> List[float
 class ReplicaPool:
     """Spawned scoring replicas sharing one graph page + parameter pages.
 
-    ``score(name, triples)`` blocks until a replica returns — it is called
-    from the coalescer's flush thread, which is the serialization point, so
-    the pool adds process isolation and shared-page memory behaviour
-    without changing request ordering or scores.
+    ``score(name, triples)`` blocks until a replica returns, or raises
+    :class:`ReplicaDied` if that replica dies first — it is called from the
+    coalescer's flush thread, which is the serialization point, so the pool
+    adds process isolation and shared-page memory behaviour without
+    changing request ordering or scores.
     """
 
     def __init__(self, models: Mapping[str, Any], graph: KnowledgeGraph,
@@ -102,7 +134,9 @@ class ReplicaPool:
         self._handles: List[PageHandle] = []
         self._specs: Dict[str, ReplicaSpec] = {}
         self._dispatched = 0
+        self._lost = 0
         self._pool = None
+        self._channel = None
 
         graph_ref: _GraphRef = graph
         try:
@@ -147,9 +181,14 @@ class ReplicaPool:
             from multiprocessing import get_context
 
             context = get_context("spawn")
+            self._channel = context.SimpleQueue()
+            # No BLAS thread budget (unlike SupervisedPool): the coalescer's
+            # single flush thread dispatches one request at a time, so
+            # replicas never compute concurrently and each may use every core.
             self._pool = context.Pool(processes=self.replicas,
                                       initializer=_init_replica,
-                                      initargs=(self._specs, graph_ref))
+                                      initargs=(self._specs, graph_ref,
+                                                self._channel))
         except BaseException:
             self.close()
             raise
@@ -164,15 +203,36 @@ class ReplicaPool:
         if self._pool is None:
             raise RuntimeError("replica pool is closed")
         encoded = [triple.astuple() for triple in triples]
-        result = self._pool.apply_async(_replica_score, (name, encoded)).get()
+        index = self._dispatched
         self._dispatched += 1
-        return result
+        handle = self._pool.apply_async(_replica_score, (index, name, encoded))
+        pid = None
+        while True:
+            handle.wait(_POLL_SECONDS)
+            # Drained on every call: an announcement left in the pipe would
+            # eventually fill it and block the replicas.
+            while not self._channel.empty():
+                announced, announcer = self._channel.get()
+                if announced == index:
+                    pid = announcer
+            if handle.ready():
+                return handle.get()
+            if pid is not None and pid not in worker_pids(self._pool):
+                # A result sent just before the death may still be in
+                # transit: give it one more poll before declaring it lost.
+                handle.wait(_POLL_SECONDS)
+                if not handle.ready():
+                    self._lost += 1
+                    raise ReplicaDied(
+                        f"replica pid {pid} died while scoring dispatch "
+                        f"{index} ({len(encoded)} triples)")
 
     def stats(self) -> Dict[str, Any]:
         return {
             "replicas": self.replicas,
             "models": sorted(self._specs),
             "dispatched_batches": self._dispatched,
+            "lost_batches": self._lost,
             "shared_pages": len(self._handles),
         }
 

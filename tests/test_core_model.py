@@ -120,6 +120,34 @@ class TestDEKGILP:
         model.eval()
         assert np.isfinite(model.score(Triple(5, 2, 0)))
 
+    def test_eval_scoring_hashes_no_dropout_edge_keys(self, tiny_graph, monkeypatch):
+        """Edge keys only feed training-time dropout masks."""
+        import repro.core.gsm as gsm_module
+        import repro.gnn.encoder as encoder_module
+        import repro.gnn.rgcn as rgcn_module
+
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for module in (gsm_module, encoder_module, rgcn_module):
+            monkeypatch.setattr(module, "edge_keys", counting(module.edge_keys))
+        config = ModelConfig(embedding_dim=8, gnn_hidden_dim=8, edge_dropout=0.5)
+        model = DEKGILP(3, config=config, seed=0)
+        model.set_context(tiny_graph)
+        triples = [Triple(0, 0, 1), Triple(0, 1, 2), Triple(2, 0, 3)]
+        model.eval()
+        model.score_many(triples)          # batched path (GSM.score_batch)
+        model.score(triples[0])            # per-triple path (encoder.forward)
+        assert calls == []
+        model.train()                      # control: dropout does hash them
+        model.forward_batch(triples)
+        assert calls
+
     def test_parameter_complexity_positive(self):
         model = DEKGILP(3, config=ModelConfig(embedding_dim=8, gnn_hidden_dim=8), seed=0)
         assert model.parameter_complexity() > 0

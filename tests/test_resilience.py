@@ -2,8 +2,9 @@
 
 Covers the fault-injection grammar and hooks, the atomic-write helpers, the
 supervised pool's recovery paths (error retry, timeout reassignment, attempt
-exhaustion, in-process degradation, interruption), the training resume
-journal, and the checkpoint-error chaining in ``make_model_spec``.
+exhaustion, in-process degradation, interruption, the per-worker BLAS
+thread budget), the training resume journal, and the checkpoint-error
+chaining in ``make_model_spec``.
 
 Pool tests use module-level task functions: ``SupervisedPool`` spawns fresh
 interpreters, so everything shipped to a worker must be importable by name.
@@ -31,6 +32,8 @@ from repro.resilience import (FaultInjected, FaultPlan, RetryPolicy,
                               atomic_write_json, atomic_write_text, fire,
                               install_fault_plan, mangle, reset_fault_state)
 from repro.resilience import atomic as atomic_module
+from repro.resilience import supervisor as supervisor_module
+from repro.resilience.supervisor import THREAD_VARIABLES, usable_cores
 
 
 @pytest.fixture(autouse=True)
@@ -264,6 +267,91 @@ class TestSupervisedPool:
             pool.run(_sleepy, [1, 2], _fallback,
                      on_interrupt=lambda done, total: progress.append((done, total)))
         assert progress == [(0, 2)]
+
+
+# --------------------------------------------------------------------- #
+# per-worker BLAS thread budget
+# --------------------------------------------------------------------- #
+def _thread_report(index, payload, attempt):
+    """The worker's thread variables, after any planned ``shard`` fault."""
+    fire("shard", index, attempt)
+    return {name: os.environ.get(name) for name in THREAD_VARIABLES}
+
+
+def _thread_report_then_fail(index, payload, attempt):
+    raise ValueError(json.dumps(_thread_report(index, payload, attempt)))
+
+
+def _no_fallback(index, payload):
+    raise RuntimeError(f"task {index} fell back to the parent")
+
+
+class TestWorkerThreadBudget:
+    @pytest.fixture(autouse=True)
+    def _unset_thread_variables(self, monkeypatch):
+        for name in THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+
+    @staticmethod
+    def _budget(processes):
+        return {name: str(max(1, usable_cores() // processes))
+                for name in THREAD_VARIABLES}
+
+    def test_unset_variables_get_the_budget(self):
+        before = dict(os.environ)
+        pool = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+        reports = pool.run(_thread_report, [0, 1, 2], _no_fallback)
+        assert reports == [self._budget(2)] * 3
+        assert dict(os.environ) == before
+
+    def test_user_setting_reaches_workers_unchanged(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        pool = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
+        reports = pool.run(_thread_report, [0, 1], _no_fallback)
+        expected = {name: None for name in THREAD_VARIABLES}
+        expected["OMP_NUM_THREADS"] = "3"
+        assert reports == [expected] * 2
+
+    def test_parent_environment_restored_after_failed_runs(self, monkeypatch):
+        before = dict(os.environ)
+        # A run that raises: the task fails in the worker (reporting what it
+        # saw), attempts run out, and the fallback raises.
+        failing = SupervisedPool(processes=2,
+                                 policy=RetryPolicy(max_attempts=1, **_FAST))
+        with pytest.raises(RuntimeError, match="fell back"):
+            failing.run(_thread_report_then_fail, [0], _no_fallback)
+        errors = [event for event in failing.events if event.kind == "error"]
+        assert json.dumps(self._budget(2)) in errors[0].detail
+        assert dict(os.environ) == before
+
+        # A pool that fails to start: the budget was in place for it, and
+        # is gone again afterwards.
+        seen = []
+        real_context = supervisor_module.get_context("spawn")
+
+        class _Unstartable:
+            SimpleQueue = staticmethod(real_context.SimpleQueue)
+
+            @staticmethod
+            def Pool(**kwargs):
+                seen.append({name: os.environ.get(name) for name in THREAD_VARIABLES})
+                raise OSError("no processes left")
+
+        monkeypatch.setattr(supervisor_module, "get_context", lambda _: _Unstartable)
+        with pytest.raises(OSError, match="no processes left"):
+            SupervisedPool(processes=2).run(_double, [1], _fallback)
+        assert seen == [self._budget(2)]
+        assert dict(os.environ) == before
+
+    def test_respawned_worker_gets_the_budget(self, monkeypatch):
+        # One process: the retry after the kill can only run on the worker
+        # the pool respawned.
+        monkeypatch.setenv("REPRO_FAULTS", "shard:0:kill")
+        pool = SupervisedPool(processes=1,
+                              policy=RetryPolicy(timeout=30.0, **_FAST))
+        reports = pool.run(_thread_report, [0, 1], _no_fallback)
+        assert "worker-died" in [event.kind for event in pool.events]
+        assert reports == [self._budget(1)] * 2
 
 
 # --------------------------------------------------------------------- #

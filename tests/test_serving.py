@@ -28,9 +28,9 @@ from repro.eval.ranking import candidate_rng, filtered_candidates
 from repro.kg.triple import Triple
 from repro.registry import build_model, model_names, registered_models
 from repro.resilience import install_fault_plan, reset_fault_state
-from repro.serving import (CoalescerClosed, InProcessClient, RequestCoalescer,
-                           ScoringService, ServiceOverloaded, ServingError,
-                           SocketClient, handle_request, serve,
+from repro.serving import (CoalescerClosed, InProcessClient, ReplicaDied,
+                           RequestCoalescer, ScoringService, ServiceOverloaded,
+                           ServingError, SocketClient, handle_request, serve,
                            wait_until_serving)
 from repro.shm import active_segments
 
@@ -474,6 +474,36 @@ class TestServingReplicas:
                                                        triples) == direct
         finally:
             service.close()
+
+    def test_dead_replica_fails_only_its_request(self, serving_dataset,
+                                                 monkeypatch):
+        # The replicas inherit the plan: the one scoring dispatch 0 and the
+        # one scoring dispatch 1 are SIGKILLed.  A bare Pool would leave
+        # dispatch 0 pending forever and stall the flush thread.
+        monkeypatch.setenv("REPRO_FAULTS", "replica:0:kill,replica:1:kill")
+        graph = serving_dataset.split.evaluation_graph()
+        models = self._eval_models(graph, ["DEKG-ILP"])
+        triples = list(serving_dataset.test_triples[:4])
+        service = ScoringService(models, graph, max_wait_ms=1.0, replicas=1)
+        try:
+            direct = [float(s) for s in models["DEKG-ILP"].score_many(triples)]
+            started = time.monotonic()
+            with pytest.raises(ReplicaDied):
+                service.submit("DEKG-ILP", triples).result(timeout=60)
+            assert time.monotonic() - started < 10.0
+            response = handle_request(service, {"op": "score_many",
+                                                "model": "DEKG-ILP",
+                                                "triples": triples})
+            assert not response["ok"] and response["code"] == "replica_died"
+            # The respawned replica serves the next request, bit for bit.
+            assert service.submit("DEKG-ILP", triples).result(timeout=60) == direct
+            replica_stats = service.stats()["replicas"]
+            assert replica_stats["dispatched_batches"] == 3
+            assert replica_stats["lost_batches"] == 2
+        finally:
+            service.close()
+        listed = active_segments()
+        assert listed in (None, []), f"leaked shm segments: {listed}"
 
     def test_close_is_idempotent_and_late_close_safe(self, serving_dataset):
         graph = serving_dataset.split.evaluation_graph()
