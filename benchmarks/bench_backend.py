@@ -1,38 +1,27 @@
-"""Backend scatter-kernel benchmark: ``np.add.at`` vs the CPU micro-kernels.
+"""Backend scatter-kernel benchmark: ``np.add.at`` vs the numpy backend kernel.
 
-PR 6 moved every indexed array operation behind the
-:class:`~repro.backend.base.ArrayBackend` seam; the numpy backend uses that
-seam to dispatch ``scatter_rows`` — the segmented row reduction behind
-``scatter_add``'s forward and ``gather``'s backward — between three CPU
-implementations (see ``repro/backend/numpy_backend.py`` for the dispatch
-rules).  This benchmark times all three on every workload shape, plus the
-dispatching ``scatter_rows`` entry point itself, so the thresholds can be
-revisited with data:
+``NumpyBackend.scatter_rows`` — the segmented row reduction behind
+``scatter_add``'s forward and ``gather``'s backward — is one flat-index
+weighted ``np.bincount`` for every shape (see
+``repro/backend/numpy_backend.py``).  This benchmark times it against the
+unbuffered ufunc scatter ``np.add.at`` on the R-GCN training shape and on
+dense- and sparse-regime shapes up to 65k edges and 262k rows.
 
-* **add_at** — the unbuffered ufunc scatter, the correctness reference;
-* **bincount** — per-column weighted ``np.bincount`` (dense-regime kernel,
-  bit-identical to add_at);
-* **reduceat** — stable sort + ``np.add.reduceat`` (sparse-regime
-  micro-kernel, equivalent within float64 reassociation);
-* **dispatch** — ``NumpyBackend().scatter_rows``, i.e. whichever of the
-  above the thresholds pick.
-
-Every kernel is compared against the add_at reference on every shape before
-any timing is reported, so the benchmark is **equivalence-gated**: the
-bincount path must match bit for bit, the reduceat path to within
-reassociation tolerance.  Results are printed and appended to
+Before anything is timed the kernel is asserted **bit-identical** to the
+``np.add.at`` reference on every shape, so a kernel that diverges can never
+report a speedup.  Results are printed and appended to
 ``BENCH_backend.json`` (override with ``REPRO_BENCH_BACKEND_JSON``).
 
-Two speedups are recorded per sparse row.  ``reduceat`` vs ``bincount`` —
-the two kernels the dispatch actually chooses between in the 2-D vectorized
-regime — is stable (3-12x sparse) and carries the >= 1.5x floor
-(``REPRO_BENCH_BACKEND_GATE=off`` downgrades it on contended runners; the
-equivalence gate always stays hard).  ``dispatch`` vs ``add_at`` is
-recorded but informational: at these shapes ``np.add.at``'s cost is
-dominated by faulting in the freshly allocated output's pages, so the
-ratio lands at 1.3-1.9x in a fresh process but can invert in a
-long-running one where transparent huge pages / a warm allocator amortize
-those faults away.
+Floors on ``kernel_speedup_vs_add_at`` (``REPRO_BENCH_BACKEND_GATE=off``
+downgrades them to a report on contended runners; the bit-identity gate
+always stays hard):
+
+* dense rows (``num_rows <= 4 * num_edges``, the training shape included):
+  >= 1.5x; measured 2.4-3.3x on a 2-core x86 box;
+* sparse rows: >= 1.0x, i.e. the kernel never loses to ``np.add.at``.
+  Both kernels there spend most of their time faulting in the pages of a
+  32-64 MB output, which they share, so the ratio swings with the page
+  regime (measured 1.3-2.3x on the same box) and a 1.5x floor would flake.
 """
 
 from __future__ import annotations
@@ -49,11 +38,10 @@ from repro.backend import NumpyBackend
 DIM = 32            # feature width of the message-passing workloads
 REPEATS = 7         # timing repeats; min is the reported estimate
 
-#: (name, num_rows, num_edges) — two dense-regime shapes (rows <= 4E, the
-#: bincount path) and two sparse-regime shapes (rows > 4E, the reduceat
-#: path), the sparse ones at the >= 8k-edges-into-100k+-rows scale where
-#: the micro-kernel is meant to pay off.
+#: (name, num_rows, num_edges) — the union graph of one DEKG-ILP training
+#: batch, two dense shapes (rows <= 4E) and two sparse shapes (rows > 4E).
 SIZES = [
+    ("train-batch", 760, 3800),
     ("dense-small", 4096, 16384),
     ("dense-large", 16384, 65536),
     ("sparse", 131072, 8192),
@@ -82,87 +70,53 @@ def _add_at(indices: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarra
     return out
 
 
-def _write_json(rows: List[Dict]) -> None:
-    """Append this run to the tracked history (keeps prior runs' numbers)."""
-    append_bench_run(
-        JSON_PATH, "backend_scatter", "seconds_per_call",
-        config={"dim": DIM, "repeats": REPEATS,
-                "min_vector_edges": NumpyBackend.MIN_VECTOR_EDGES,
-                "sparse_row_factor": NumpyBackend.SPARSE_ROW_FACTOR},
-        results=rows,
-    )
-
-
 def test_scatter_kernels():
-    """add_at vs bincount vs reduceat vs the dispatch, equivalence-gated."""
+    """add_at vs the backend kernel, bit-identity gated."""
     rng = np.random.default_rng(0)
     backend = NumpyBackend()
     rows: List[Dict] = []
     for name, num_rows, num_edges in SIZES:
         values = rng.normal(size=(num_edges, DIM))
         indices = rng.integers(0, num_rows, num_edges)
-        sparse = num_rows > NumpyBackend.SPARSE_ROW_FACTOR * num_edges
 
-        # The correctness gate first: both micro-kernels and the dispatch
-        # must reproduce the ufunc scatter on this exact workload.
-        reference = _add_at(indices, values, num_rows)
+        # The correctness gate first: the kernel must reproduce the ufunc
+        # scatter bit for bit on this exact workload.
         np.testing.assert_array_equal(
-            backend._scatter_rows_bincount(indices, values, num_rows), reference,
-            err_msg=f"{name}: bincount kernel must be bit-identical to np.add.at")
-        np.testing.assert_allclose(
-            backend._scatter_rows_reduceat(indices, values, num_rows), reference,
-            atol=1e-10, err_msg=f"{name}: reduceat kernel diverged from np.add.at")
-        dispatched = backend.scatter_rows(indices, values, num_rows)
-        if sparse:
-            np.testing.assert_allclose(dispatched, reference, atol=1e-10)
-        else:
-            np.testing.assert_array_equal(dispatched, reference)
+            backend.scatter_rows(indices, values, num_rows),
+            _add_at(indices, values, num_rows),
+            err_msg=f"{name}: scatter kernel must be bit-identical to np.add.at")
 
         seconds = {
             "add_at": _timeit(lambda: _add_at(indices, values, num_rows)),
-            "bincount": _timeit(
-                lambda: backend._scatter_rows_bincount(indices, values, num_rows)),
-            "reduceat": _timeit(
-                lambda: backend._scatter_rows_reduceat(indices, values, num_rows)),
-            "dispatch": _timeit(
-                lambda: backend.scatter_rows(indices, values, num_rows)),
+            "kernel": _timeit(lambda: backend.scatter_rows(indices, values, num_rows)),
         }
         rows.append({
             "size": name,
             "num_rows": num_rows,
             "num_edges": num_edges,
-            "regime": "sparse" if sparse else "dense",
+            "regime": "sparse" if num_rows > 4 * num_edges else "dense",
             "seconds": seconds,
-            "dispatch_speedup_vs_add_at": seconds["add_at"] / seconds["dispatch"],
-            "reduceat_speedup_vs_bincount": seconds["bincount"] / seconds["reduceat"],
+            "kernel_speedup_vs_add_at": seconds["add_at"] / seconds["kernel"],
         })
 
-    _write_json(rows)
+    append_bench_run(JSON_PATH, "backend_scatter", "seconds_per_call",
+                     config={"dim": DIM, "repeats": REPEATS}, results=rows)
 
-    print_banner(f"scatter_rows kernels — dim={DIM}, equivalence-gated vs np.add.at")
+    print_banner(f"scatter_rows kernel — dim={DIM}, bit-identity gated vs np.add.at")
     for row in rows:
         s = row["seconds"]
         print(f"  {row['size']:12s} rows={row['num_rows']:6d} E={row['num_edges']:5d} "
-              f"[{row['regime']:6s}]: "
-              f"add.at {s['add_at']*1000:7.3f} ms   "
-              f"bincount {s['bincount']*1000:7.3f} ms   "
-              f"reduceat {s['reduceat']*1000:7.3f} ms   "
-              f"dispatch {s['dispatch']*1000:7.3f} ms "
-              f"({row['dispatch_speedup_vs_add_at']:4.1f}x vs add.at, "
-              f"reduceat {row['reduceat_speedup_vs_bincount']:4.1f}x vs bincount)")
+              f"[{row['regime']:6s}]: add.at {s['add_at']*1000:7.3f} ms   "
+              f"kernel {s['kernel']*1000:7.3f} ms   "
+              f"({row['kernel_speedup_vs_add_at']:4.1f}x)")
     print(f"  -> {JSON_PATH}")
 
     if GATE:
-        # The gated comparison is reduceat vs bincount — the choice the
-        # dispatch actually makes in the 2-D vectorized regime, and stable
-        # across allocator/huge-page regimes (observed 3-12x).  The vs-add.at
-        # ratio above is recorded but regime-dependent (see module docstring).
         for row in rows:
-            if row["regime"] != "sparse":
-                continue
-            assert row["reduceat_speedup_vs_bincount"] >= 1.5, (
-                f"{row['size']}: reduceat micro-kernel speedup over bincount "
-                f"{row['reduceat_speedup_vs_bincount']:.2f}x below the 1.5x floor "
+            floor = 1.5 if row["regime"] == "dense" else 1.0
+            assert row["kernel_speedup_vs_add_at"] >= floor, (
+                f"{row['size']}: scatter kernel speedup over np.add.at "
+                f"{row['kernel_speedup_vs_add_at']:.2f}x below the {floor}x floor "
                 f"(set REPRO_BENCH_BACKEND_GATE=off on contended runners)")
 
 

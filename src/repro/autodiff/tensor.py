@@ -31,7 +31,9 @@ are exact adjoints of each other:
 
 Together they let message passing over ``E`` edges run in ``O(E * dim)``
 instead of materializing a dense ``(num_nodes, num_edges)`` one-hot scatter
-matrix per layer.
+matrix per layer.  :func:`basis_sum` is the third: the per-edge weighted sum
+over the R-GCN basis axis, one node instead of a broadcast multiply and a
+sum.
 """
 
 from __future__ import annotations
@@ -147,9 +149,17 @@ class Tensor:
         return Tensor(value)
 
     def _accumulate(self, grad) -> None:
+        # Ownership invariant: nothing writes a stored gradient in place --
+        # accumulation below is out-of-place and the optimizers and
+        # ``clip_grad_norm`` replace ``param.grad`` rather than mutate it.  So
+        # an intermediate tensor may keep its first incoming gradient as is,
+        # even when that array is shared with (or a view of) another node's
+        # gradient.  Leaves (parameters, user inputs) still copy: their
+        # ``.grad`` outlives the backward pass and must be a writeable array
+        # no other tensor shares.
         grad = _unbroadcast(_as_array(grad), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad.copy() if self._backward is None else grad
         else:
             self.grad = self.grad + grad
 
@@ -510,8 +520,8 @@ def gather(source: Tensor, indices) -> Tensor:
     row selection, which keeps both directions allocation-lean: forward is a
     single fancy-indexing gather, backward scatters the incoming gradient back
     through the backend's row-scatter kernel (duplicate indices accumulate;
-    see :meth:`repro.backend.base.ArrayBackend.scatter_rows` for the
-    threshold-dispatched CPU micro-kernels).
+    see :meth:`repro.backend.base.ArrayBackend.scatter_rows` and the numpy
+    backend's single ``bincount`` kernel).
     """
     backend = active_backend()
     indices = backend.asindex(indices)
@@ -560,6 +570,31 @@ def scatter_add(source: Tensor, indices, num_segments: int) -> Tensor:
             source._accumulate(backend.gather_rows(backend.asarray(grad), indices))
 
     return Tensor._make(out, (source,), backward)
+
+
+def basis_sum(values: Tensor, weights: Tensor) -> Tensor:
+    """Per-row weighted sum over the middle axis: ``out[e] = weights[e] @ values[e]``.
+
+    ``values`` is ``(E, B, O)`` and ``weights`` is ``(E, B)``; the result is
+    ``out[e, o] = sum_b values[e, b, o] * weights[e, b]``, the R-GCN basis
+    contraction ``sum_b coeff[rel_e, b] * (x_src_e @ basis_b)``.  Forward is
+    one plain ``einsum`` (no ``optimize=``, so each row's sum is computed
+    the same way whatever the batch), which for ``O >= 2`` is bit-identical
+    to a broadcast multiply followed by ``sum(axis=1)``.  Backward produces
+    one ``(E, B, O)`` array for ``values`` and contracts ``(E, B, O)`` with
+    the ``(E, O)`` gradient for ``weights``, instead of the broadcast
+    multiply's zero-stride operands and three ``(E, B, O)`` temporaries.
+    """
+    data = xp.einsum("ebo,eb->eo", values.data, weights.data)
+
+    def backward(grad) -> None:
+        grad = _as_array(grad)
+        if values.requires_grad:
+            values._accumulate(grad[:, None, :] * weights.data[:, :, None])
+        if weights.requires_grad:
+            weights._accumulate((grad[:, None, :] * values.data).sum(axis=2))
+
+    return Tensor._make(data, (values, weights), backward)
 
 
 def segment_sum(source: Tensor, segment_ids, num_segments: int) -> Tensor:

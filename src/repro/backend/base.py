@@ -29,7 +29,7 @@ library behind one object:
 
 Every method has a generic implementation in terms of ``xp``; concrete
 backends override the ones their array library spells differently (CuPy's
-``scatter_add``) or can do faster (numpy's sort+``reduceat`` micro-kernel).
+``scatter_add``) or can do faster (numpy's flat-index ``bincount`` scatter).
 """
 
 from __future__ import annotations

@@ -1,49 +1,25 @@
-"""The always-on numpy reference backend, with CPU scatter micro-kernels.
+"""The always-on numpy reference backend, with its CPU scatter kernel.
 
 ``NumpyBackend`` is the default and the correctness reference every other
-backend is tested against.  Its one non-trivial piece is the
-threshold-dispatched :meth:`~NumpyBackend.scatter_rows` kernel — the
-segmented row reduction behind ``scatter_add``'s forward and ``gather``'s
-backward, i.e. the single hottest indexed operation in the GNN message-
-passing path.  Three implementations are dispatched on size and density:
+backend is tested against.  Its one non-trivial piece is
+:meth:`~NumpyBackend.scatter_rows` — the segmented row reduction behind
+``scatter_add``'s forward and ``gather``'s backward, i.e. the single
+hottest indexed operation in the GNN message-passing path.
 
-``np.add.at``  (``E < MIN_VECTOR_EDGES``)
-    The unbuffered ufunc scatter.  Lowest constant factor; wins on tiny
-    edge sets where any preprocessing is pure overhead.
-
-per-column ``np.bincount``  (dense: ``num_rows <= SPARSE_ROW_FACTOR * E``)
-    One weighted bincount per feature column.  Accumulates in input order
-    (sequential adds, like ``np.add.at``), so it is **bit-identical** to
-    the ufunc scatter — this is the path every default model configuration
-    hits, which is what keeps numpy-backend results bit-identical release
-    over release.  Cost is ``O(D * (E + num_rows))``: the ``num_rows`` term
-    is per column, which is why it collapses in the sparse regime.
-
-sort + ``np.reduceat``  (sparse: ``num_rows > SPARSE_ROW_FACTOR * E``)
-    Stable-argsort the destination indices, gather the value rows into
-    segment-contiguous order, reduce each segment with one
-    ``np.add.reduceat`` sweep and write the ``S <= E`` occupied rows.
-    Cost is ``O(E log E + E * D + S * D)`` — independent of ``num_rows``
-    except for the final zeros allocation — where the bincount path pays
-    ``O(D * num_rows)`` and ``np.add.at`` pays an uncoalesced random write
-    per edge.  Measured on the benchmark workloads (see
-    ``benchmarks/bench_backend.py``): 3-12x over per-column bincount at
-    ``E >= 8k`` scattered into 100k+ rows in every regime, and 1.3-1.9x
-    over ``np.add.at`` in a fresh process (the add.at ratio is
-    page-fault-regime dependent: a warm allocator or transparent huge
-    pages can amortize the output faults that dominate add.at's cost at
-    these shapes, bringing it back to parity).  ``np.add.reduceat`` reassociates the per-segment sums (SIMD
-    partial accumulators), so this path is *equivalent within float64
-    reassociation tolerance* rather than bit-identical — the dispatch
-    thresholds confine it to the sparse regime no default model
-    configuration reaches.
-
-Values with ``ndim > 2`` always take the ``np.add.at`` path (the
-vectorized kernels are specialized to the ``(E,)``/``(E, D)`` shapes the
-engine produces).
+It is one weighted ``np.bincount`` over flattened ``(row, column)``
+indices, for every shape and size: value element ``values[j, c]`` lands in
+flat slot ``indices[j] * W + c`` of a ``(num_rows * W,)`` output, where
+``W`` is the product of the trailing dimensions, and the result is
+reshaped back.  ``bincount`` accumulates in input order (sequential adds,
+like ``np.add.at``), so the kernel is **bit-identical** to the ufunc
+scatter at every size and density — gradient bits do not depend on batch
+shape.  It costs ``O(E * W + num_rows * W)`` with a single pass over the
+values; ``benchmarks/bench_backend.py`` times it against ``np.add.at``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -57,47 +33,16 @@ class NumpyBackend(ArrayBackend):
     xp = np
     host_xp = np
 
-    #: Below this many index entries, plain ``np.add.at`` wins.
-    MIN_VECTOR_EDGES = 128
-    #: ``num_rows > SPARSE_ROW_FACTOR * E`` switches the 2-D kernel from
-    #: per-column bincount to the sort+reduceat micro-kernel.
-    SPARSE_ROW_FACTOR = 4
-
     # ------------------------------------------------------------------ #
     def scatter_rows(self, indices, values, num_rows: int):
         indices = np.asarray(indices)
-        if indices.size < self.MIN_VECTOR_EDGES or values.ndim > 2:
-            out = np.zeros((num_rows,) + values.shape[1:], dtype=self.float_dtype)
-            np.add.at(out, indices, values)
-            return out
-        if values.ndim == 1:
-            return np.bincount(indices, weights=values,
-                               minlength=num_rows)[:num_rows]
-        if num_rows > self.SPARSE_ROW_FACTOR * indices.size:
-            return self._scatter_rows_reduceat(indices, values, num_rows)
-        return self._scatter_rows_bincount(indices, values, num_rows)
-
-    @staticmethod
-    def _scatter_rows_bincount(indices: np.ndarray, values: np.ndarray,
-                               num_rows: int) -> np.ndarray:
-        """Dense 2-D kernel: one weighted bincount per feature column."""
-        out = np.empty((num_rows, values.shape[1]), dtype=np.float64)
-        for column in range(values.shape[1]):
-            out[:, column] = np.bincount(
-                indices, weights=values[:, column], minlength=num_rows)[:num_rows]
-        return out
-
-    @staticmethod
-    def _scatter_rows_reduceat(indices: np.ndarray, values: np.ndarray,
-                               num_rows: int) -> np.ndarray:
-        """Sparse 2-D micro-kernel: stable sort + segmented ``reduceat``."""
-        order = np.argsort(indices, kind="stable")
-        sorted_indices = indices[order]
-        sorted_values = values[order]
-        # Segment starts: position 0 plus every index change in sorted order.
-        starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sorted_indices)) + 1])
-        segment_sums = np.add.reduceat(sorted_values, starts, axis=0)
-        out = np.zeros((num_rows, values.shape[1]), dtype=np.float64)
-        out[sorted_indices[starts]] = segment_sums
-        return out
+        if indices.size and (indices.min() < 0 or indices.max() >= num_rows):
+            raise IndexError(
+                f"scatter_rows index out of range [0, {num_rows}): "
+                f"min={indices.min()}, max={indices.max()}")
+        width = math.prod(values.shape[1:])
+        if width != 1:
+            indices = (indices[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(indices, weights=values.reshape(-1),
+                          minlength=num_rows * width)
+        return out.reshape((num_rows,) + values.shape[1:])

@@ -17,7 +17,7 @@ from repro.autodiff import functional as F
 from repro.autodiff import init
 from repro.autodiff.layers import Linear
 from repro.autodiff.module import Module, Parameter
-from repro.autodiff.tensor import Tensor
+from repro.autodiff.tensor import Tensor, basis_sum
 from repro.gnn.edge_dropout import DropoutClock, counter_dropout_mask, edge_keys
 from repro.gnn.message_passing import aggregate_messages, degree_normalization
 
@@ -109,8 +109,7 @@ class RGCNLayer(Module):
                         .reshape(self.in_dim, self.num_bases * self.out_dim))
         projected = (source_features @ basis_matrix).reshape(
             num_edges, self.num_bases, self.out_dim)
-        weighted = projected * coeff.reshape(num_edges, self.num_bases, 1)
-        return weighted.sum(axis=1)
+        return basis_sum(projected, coeff)
 
     def forward(self, node_features: Tensor, edges,
                 edge_identity: Optional[Any] = None) -> Tensor:

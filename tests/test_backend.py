@@ -31,7 +31,8 @@ from hypothesis.extra.numpy import arrays
 import repro
 from repro.autodiff import functional as F
 from repro.autodiff.layers import Dropout
-from repro.autodiff.tensor import Tensor, gather, scatter_add, segment_mean, segment_sum
+from repro.autodiff.tensor import (Tensor, basis_sum, gather, scatter_add, segment_mean,
+                                   segment_sum)
 from repro.backend import (BACKEND_ENV_VAR, BackendUnavailableError, NumpyBackend,
                            TracingBackend, active_backend, available_backends,
                            get_backend, hxp, known_backend_names, register_backend,
@@ -144,7 +145,7 @@ class TestSelection:
 
 
 # ----------------------------------------------------------------------- #
-# numpy scatter micro-kernel dispatch
+# numpy scatter kernel
 # ----------------------------------------------------------------------- #
 def _reference_scatter(indices, values, num_rows):
     out = np.zeros((num_rows,) + values.shape[1:])
@@ -152,60 +153,53 @@ def _reference_scatter(indices, values, num_rows):
     return out
 
 
+@st.composite
+def _scatter_cases(draw):
+    """(indices, values, num_rows) across sizes, ranks, densities, duplicates."""
+    num_edges = draw(st.integers(0, 2000))
+    if draw(st.booleans()):  # sparse regime: many more rows than edges
+        num_rows = draw(st.integers(4 * num_edges + 1, 4 * num_edges + 4000))
+    else:
+        num_rows = draw(st.integers(1, max(1, 4 * num_edges)))
+    # A small pool of distinct destinations makes the indices duplicate-heavy.
+    distinct = draw(st.integers(1, min(num_rows, 5000)))
+    trailing = draw(st.sampled_from([(), (1,), (3,), (32,), (4, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.choice(num_rows, size=distinct, replace=False)
+    indices = pool[rng.integers(0, distinct, num_edges)]
+    values = rng.normal(size=(num_edges,) + trailing)
+    return indices, values, num_rows
+
+
 class TestScatterDispatch:
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 500), st.integers(1, 2000), st.integers(0, 1))
-    def test_dispatch_matches_add_at(self, num_rows, num_edges, extra_dim):
-        """All three regimes (tiny/dense/sparse) agree with the ufunc scatter."""
-        rng = np.random.default_rng(num_rows * 2000 + num_edges)
-        shape = (num_edges, 3) if extra_dim else (num_edges,)
-        values = rng.normal(size=shape)
-        indices = rng.integers(0, num_rows, num_edges)
+    """Calls into ``NumpyBackend.scatter_rows``, one kernel for every shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_scatter_cases())
+    def test_dispatch_matches_add_at(self, case):
+        """Equal to ``np.add.at`` bit for bit at every size, rank and density."""
+        indices, values, num_rows = case
         result = NumpyBackend().scatter_rows(indices, values, num_rows)
-        reference = _reference_scatter(indices, values, num_rows)
-        if num_rows > NumpyBackend.SPARSE_ROW_FACTOR * num_edges and extra_dim \
-                and num_edges >= NumpyBackend.MIN_VECTOR_EDGES:
-            np.testing.assert_allclose(result, reference, atol=1e-12)
-        else:
-            # add.at / bincount paths are bit-identical by construction
-            np.testing.assert_array_equal(result, reference)
-
-    def test_dense_2d_path_is_bit_identical(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(4096, 16))
-        indices = rng.integers(0, 512, 4096)
+        assert result.shape == (num_rows,) + values.shape[1:]
         np.testing.assert_array_equal(
-            NumpyBackend().scatter_rows(indices, values, 512),
-            _reference_scatter(indices, values, 512))
+            result, _reference_scatter(indices, values, num_rows))
 
-    def test_sparse_2d_path_uses_reduceat(self, monkeypatch):
-        calls = []
-        kernel = NumpyBackend._scatter_rows_reduceat
-        monkeypatch.setattr(
-            NumpyBackend, "_scatter_rows_reduceat",
-            staticmethod(lambda *args: calls.append(args) or kernel(*args)))
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(256, 8))
-        indices = rng.integers(0, 4096, 256)  # 4096 > 4 * 256 -> sparse
-        result = NumpyBackend().scatter_rows(indices, values, 4096)
-        assert len(calls) == 1
-        np.testing.assert_allclose(result, _reference_scatter(indices, values, 4096),
-                                   atol=1e-12)
-
-    def test_3d_values_fall_back_to_add_at(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=(300, 4, 2))
-        indices = rng.integers(0, 10, 300)
-        np.testing.assert_array_equal(
-            NumpyBackend().scatter_rows(indices, values, 10),
-            _reference_scatter(indices, values, 10))
+    @pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("num_edges", [4, 200])
+    def test_out_of_range_rows_raise(self, trailing, num_edges):
+        """Rows outside ``[0, num_rows)`` raise at every size, never drop."""
+        values = np.ones((num_edges,) + trailing)
+        for bad in (3, -1):
+            indices = np.array([0, bad] * (num_edges // 2))
+            with pytest.raises(IndexError):
+                NumpyBackend().scatter_rows(indices, values, 3)
 
     def test_empty_and_unoccupied_rows(self):
         backend = NumpyBackend()
         out = backend.scatter_rows(np.zeros(0, dtype=np.int64),
                                    np.zeros((0, 4)), 7)
         np.testing.assert_array_equal(out, np.zeros((7, 4)))
-        # sparse path with holes: unoccupied rows must stay zero
+        # sparse occupancy with holes: unoccupied rows must stay zero
         values = np.ones((200, 2))
         indices = np.repeat(np.array([3, 999, 1500]), [100, 60, 40])
         result = backend.scatter_rows(indices, values, 2000)
@@ -257,6 +251,7 @@ PRIMITIVES = {
         a, lambda x: segment_sum(x, np.arange(a.shape[0]) % 2, 3)),
     "segment_mean": lambda a: _unary(
         a, lambda x: segment_mean(x, np.arange(a.shape[0]) % 2, 3)),
+    "basis_sum": lambda a: _basis(a),
     "softmax": lambda a: _unary(a, lambda x: F.softmax(x, axis=-1)),
     "log_softmax": lambda a: _unary(a, lambda x: F.log_softmax(x, axis=-1)),
     "bce_with_logits": lambda a: _binary(
@@ -282,6 +277,13 @@ def _binary_t(base, op):
     x = Tensor(base.copy(), requires_grad=True)
     y = Tensor(base.T.copy(), requires_grad=True)
     return (x, y), op(x, y)
+
+
+def _basis(base):
+    """``basis_sum`` over two stacked bases of ``base``'s rows."""
+    values = Tensor(np.stack([base, base * 0.5 + 0.25], axis=1), requires_grad=True)
+    weights = Tensor(base[:, :1] * np.array([1.0, -0.5]) + 0.1, requires_grad=True)
+    return (values, weights), basis_sum(values, weights)
 
 
 def _run_primitive(name: str, base: np.ndarray):

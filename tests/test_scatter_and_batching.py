@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor, gather, scatter_add, segment_mean, segment_sum
+from repro.autodiff.tensor import (Tensor, basis_sum, gather, scatter_add, segment_mean,
+                                   segment_sum)
 from repro.core.config import ModelConfig
 from repro.core.gsm import GSM
 from repro.core.model import DEKGILP
@@ -85,6 +86,18 @@ class TestScatterGatherPrimitives:
         ids = np.array([0, 1, 1, 0])
         check_gradient(
             lambda t: (segment_mean(t, ids, 2) ** 2).sum(), rng.normal(size=(4, 2)))
+
+    def test_basis_sum_forward(self, rng):
+        values = rng.normal(size=(5, 3, 4))
+        weights = rng.normal(size=(5, 3))
+        out = basis_sum(Tensor(values), Tensor(weights))
+        np.testing.assert_array_equal(out.data, (values * weights[:, :, None]).sum(axis=1))
+
+    def test_basis_sum_gradcheck(self, rng):
+        values = rng.normal(size=(5, 3, 4))
+        weights = rng.normal(size=(5, 3))
+        check_gradient(lambda t: (basis_sum(t, Tensor(weights)) ** 2).sum(), values)
+        check_gradient(lambda t: (basis_sum(Tensor(values), t) ** 2).sum(), weights)
 
 
 class TestAggregateEquivalence:

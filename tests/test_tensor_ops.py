@@ -313,6 +313,28 @@ class TestGraphMechanics:
         x = Tensor(np.ones(2, dtype=np.float32))
         assert x.data.dtype == np.float64
 
+    @staticmethod
+    def _assert_leaf_grads_owned(leaves, tensors):
+        for leaf in leaves:
+            assert leaf.grad.flags.writeable
+            for other in tensors:
+                if other is not leaf and other.grad is not None:
+                    assert not np.shares_memory(leaf.grad, other.grad)
+
+    def test_leaf_grads_owned_after_add(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        total = a + b
+        out = total.sum()
+        out.backward()
+        self._assert_leaf_grads_owned([a, b], [a, b, total, out])
+
+    def test_leaf_grad_owned_after_sum(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        out = x.sum()
+        out.backward()
+        self._assert_leaf_grads_owned([x], [x, out])
+
     def test_deep_chain_does_not_recurse(self):
         x = Tensor([1.0], requires_grad=True)
         y = x
