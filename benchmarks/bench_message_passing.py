@@ -46,10 +46,15 @@ NUM_LINKS = 50       # links scored per measurement (matches Table IV)
 # --------------------------------------------------------------------- #
 # seed-implementation reconstructions
 # --------------------------------------------------------------------- #
-def _seed_edge_messages(self, source_features, relations):
-    """Seed per-edge matvec: materializes an (E, in_dim, out_dim) tensor."""
+def _seed_edge_messages(self, source_features, relations, edge_weights=None):
+    """Seed per-edge matvec: materializes an (E, in_dim, out_dim) tensor.
+
+    The seed weighted messages inside the dense aggregation; the layer now
+    hands the per-edge weights to ``edge_messages``, so they apply here.
+    """
     weights = self.relation_weights(relations)
-    return (source_features.reshape(len(relations), self.in_dim, 1) * weights).sum(axis=1)
+    messages = (source_features.reshape(len(relations), self.in_dim, 1) * weights).sum(axis=1)
+    return messages if edge_weights is None else messages * edge_weights
 
 
 def _seed_k_hop(graph, entity, hops, exclude=None):

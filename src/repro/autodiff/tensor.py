@@ -577,13 +577,14 @@ def basis_sum(values: Tensor, weights: Tensor) -> Tensor:
 
     ``values`` is ``(E, B, O)`` and ``weights`` is ``(E, B)``; the result is
     ``out[e, o] = sum_b values[e, b, o] * weights[e, b]``, the R-GCN basis
-    contraction ``sum_b coeff[rel_e, b] * (x_src_e @ basis_b)``.  Forward is
-    one plain ``einsum`` (no ``optimize=``, so each row's sum is computed
-    the same way whatever the batch), which for ``O >= 2`` is bit-identical
-    to a broadcast multiply followed by ``sum(axis=1)``.  Backward produces
-    one ``(E, B, O)`` array for ``values`` and contracts ``(E, B, O)`` with
-    the ``(E, O)`` gradient for ``weights``, instead of the broadcast
-    multiply's zero-stride operands and three ``(E, B, O)`` temporaries.
+    contraction ``sum_b coeff[rel_e, b] * (x_src_e @ basis_b)``.  Both
+    directions are plain ``einsum`` calls (no ``optimize=``, so each row's
+    sum is computed the same way whatever the batch); the forward is
+    bit-identical to a broadcast multiply followed by ``sum(axis=1)`` for
+    ``O >= 2``.  Backward produces one ``(E, B, O)`` array for ``values`` and
+    contracts ``values`` with the ``(E, O)`` gradient for ``weights``,
+    instead of the broadcast multiply's zero-stride operands and three
+    ``(E, B, O)`` temporaries.
     """
     data = xp.einsum("ebo,eb->eo", values.data, weights.data)
 
@@ -592,7 +593,7 @@ def basis_sum(values: Tensor, weights: Tensor) -> Tensor:
         if values.requires_grad:
             values._accumulate(grad[:, None, :] * weights.data[:, :, None])
         if weights.requires_grad:
-            weights._accumulate((grad[:, None, :] * values.data).sum(axis=2))
+            weights._accumulate(xp.einsum("ebo,eo->eb", values.data, grad))
 
     return Tensor._make(data, (values, weights), backward)
 

@@ -87,7 +87,7 @@ class GSM(Module):
             tail_vector.reshape(1, -1),
             relation_vector.reshape(1, -1),
         ], axis=1)
-        return self.scorer(joint).reshape(())
+        return self._score_joint(joint).reshape(())
 
     def score(self, graph: KnowledgeGraph, triple: Triple) -> Tensor:
         """Extract and score the subgraph around ``triple``."""
@@ -119,9 +119,11 @@ class GSM(Module):
 
         The subgraphs are concatenated into a block-diagonal union graph (node
         feature rows stacked, edge indices offset per block), encoded with a
-        single GNN forward, mean-pooled per block and scored together.  Because
-        message passing is purely index-driven this is numerically equivalent
-        to scoring each subgraph separately.
+        single GNN forward, mean-pooled per block and scored together.  Message
+        passing is purely index-driven, so this equals scoring each subgraph
+        separately up to float64 rounding: the dense matrix products may round
+        a row differently depending on how many rows they multiply (ROADMAP
+        item 1).
 
         ``edges_list`` optionally overrides ``subgraph.edges`` per item (used
         to drop the target link from a cached, relation-agnostic extraction).
@@ -170,7 +172,15 @@ class GSM(Module):
             np.asarray(relations, dtype=np.int64))
         joint = F.concat(
             [graph_vectors, head_vectors, tail_vectors, relation_vectors], axis=1)
-        return self.scorer(joint).reshape(-1)
+        return self._score_joint(joint)
+
+    def _score_joint(self, joint: Tensor) -> Tensor:
+        """Apply the scorer ``W`` of Eq. 11 to ``(n, 4·hidden)`` rows, giving ``(n,)``.
+
+        A row-wise multiply-and-sum rather than a matrix-vector product, so
+        a row's score does not depend on how many rows are scored together.
+        """
+        return (joint * self.scorer.weight.reshape(-1)).sum(axis=1) + self.scorer.bias
 
     def score_batch_chunked(self, subgraphs: Sequence[ExtractedSubgraph],
                             relations: Sequence[int],
@@ -183,8 +193,8 @@ class GSM(Module):
         one union graph to amortize per-op overhead, while large subgraphs get
         small chunks so the union's intermediate arrays stay cache-resident.
         The chunk scores are concatenated back into one ``(n,)`` tensor, so
-        the result is differentiable end-to-end and numerically identical to a
-        single :meth:`score_batch` call.
+        the result is differentiable end-to-end and equal to a single
+        :meth:`score_batch` call up to float64 rounding (see there).
         """
         if len(subgraphs) != len(relations):
             raise ValueError("score_batch_chunked needs one relation per subgraph")

@@ -70,7 +70,9 @@ class SubgraphEncoder(Module):
         batched scoring path: because message passing is purely index-driven,
         several subgraphs concatenated into one block-diagonal union graph
         (node rows stacked, edge indices offset per block) encode in a single
-        pass with results identical to encoding each subgraph separately.
+        pass with results equal to encoding each subgraph separately up to
+        float64 rounding (a dense matrix product may round a row differently
+        depending on how many rows it multiplies; ROADMAP item 1).
         ``edge_identity`` carries the per-edge global-identity keys the
         counter-seeded dropout draws masks from; passing the concatenated
         per-block keys is what keeps union-graph dropout equal to per-

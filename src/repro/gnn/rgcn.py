@@ -5,6 +5,14 @@ attention AGGREGATE used by the paper: each edge's message is a
 relation-specific linear transform of the source node representation, scaled
 by a learned attention score computed from the source, destination and
 relation embeddings.
+
+The edge path never builds an ``(E, ·)`` feature concat.  The attention logit
+``[x_src | x_dst | r] · w + b`` splits into ``x_src · w_src + x_dst · w_dst +
+r · w_rel + b``: each term is a row-wise multiply-and-sum over nodes (or
+relations), gathered as one scalar per edge.  The per-edge scale — sigmoid
+gate × dropout mask × degree norm — is folded into the ``(E, B)`` basis
+coefficients, so the basis sum yields finished messages that are summed into
+their destinations without another ``(E, out_dim)`` multiply.
 """
 
 from __future__ import annotations
@@ -13,11 +21,10 @@ from typing import Any, Optional
 
 from repro.backend import hxp
 
-from repro.autodiff import functional as F
 from repro.autodiff import init
 from repro.autodiff.layers import Linear
 from repro.autodiff.module import Module, Parameter
-from repro.autodiff.tensor import Tensor, basis_sum
+from repro.autodiff.tensor import Tensor, basis_sum, gather
 from repro.gnn.edge_dropout import DropoutClock, counter_dropout_mask, edge_keys
 from repro.gnn.message_passing import aggregate_messages, degree_normalization
 
@@ -71,6 +78,8 @@ class RGCNLayer(Module):
         self.self_weight = Parameter(init.xavier_uniform((in_dim, out_dim), rng=rng))
         self.bias = Parameter(init.zeros((out_dim,)))
         if use_attention:
+            # Read in [src | dst | rel] row blocks, never applied to a concat;
+            # kept a Linear so checkpoint names and shapes stay the same.
             self.attention = Linear(2 * in_dim + out_dim, 1, rng=rng)
         else:
             self.attention = None
@@ -88,20 +97,26 @@ class RGCNLayer(Module):
         flat = coeff @ self.basis  # (E, in*out)
         return flat.reshape(len(relations), self.in_dim, self.out_dim)
 
-    def edge_messages(self, source_features: Tensor, relations) -> Tensor:
-        """Per-edge messages ``x_src @ W_rel`` via the basis decomposition.
+    def edge_messages(self, source_features: Tensor, relations,
+                      edge_weights: Optional[Any] = None) -> Tensor:
+        """Per-edge messages ``w_e · x_src @ W_rel`` via the basis decomposition.
 
         Instead of materializing one ``(in_dim, out_dim)`` matrix per edge,
         exploit ``W_r = Σ_b coeff[r, b] · basis_b``: project the whole edge
         batch through every basis in a single dense GEMM and take the
         coefficient-weighted sum over the (small) basis axis —
-        ``Σ_b coeff[rel_e, b] · (x_src_e @ basis_b)``.  The largest temporary
-        is ``(E, num_bases, out_dim)`` rather than ``(E, in_dim, out_dim)``,
-        and the hot path stays in BLAS regardless of how many edges share a
-        relation.
+        ``Σ_b coeff[rel_e, b] · (x_src_e @ basis_b)``, one :func:`basis_sum`
+        node.  The largest temporary is ``(E, num_bases, out_dim)`` rather
+        than ``(E, in_dim, out_dim)``, and the hot path stays in BLAS
+        regardless of how many edges share a relation.  ``edge_weights``
+        (a tensor or array of shape ``(E, 1)``) scales each edge's message;
+        it is folded into the ``(E, num_bases)`` coefficients, not applied to
+        the ``(E, out_dim)`` result.
         """
         num_edges = len(relations)
         coeff = self.coefficients.gather_rows(relations)  # (E, B)
+        if edge_weights is not None:
+            coeff = coeff * edge_weights
         # (in, B*out) view of the basis stack -> one GEMM for all projections.
         basis_matrix = (self.basis
                         .reshape(self.num_bases, self.in_dim, self.out_dim)
@@ -110,6 +125,28 @@ class RGCNLayer(Module):
         projected = (source_features @ basis_matrix).reshape(
             num_edges, self.num_bases, self.out_dim)
         return basis_sum(projected, coeff)
+
+    def attention_gate(self, node_features: Tensor, sources, relations,
+                       destinations) -> Tensor:
+        """Sigmoid edge attention ``σ([x_src | x_dst | r] · w + b)``, shape ``(E, 1)``.
+
+        The logit is computed as ``a_src[src] + a_dst[dst] + a_rel[rel] + b``,
+        where ``a_src = x · w_src`` (and likewise for the destination and
+        relation blocks of ``attention.weight``) is a row-wise
+        multiply-and-sum: one scalar per node or relation, then one scalar
+        gather per edge.  A row's sum does not depend on how many rows the
+        batch has, unlike a matrix-vector product.
+        """
+        weight = self.attention.weight.reshape(-1)
+        w_src = weight[:self.in_dim]
+        w_dst = weight[self.in_dim:2 * self.in_dim]
+        w_rel = weight[2 * self.in_dim:]
+        per_source = (node_features * w_src).sum(axis=1)  # (N,)
+        per_destination = (node_features * w_dst).sum(axis=1)  # (N,)
+        per_relation = (self.relation_embedding * w_rel).sum(axis=1)  # (R,)
+        logits = (gather(per_source, sources) + gather(per_destination, destinations)
+                  + gather(per_relation, relations) + self.attention.bias)
+        return logits.sigmoid().reshape(-1, 1)
 
     def forward(self, node_features: Tensor, edges,
                 edge_identity: Optional[Any] = None) -> Tensor:
@@ -135,34 +172,21 @@ class RGCNLayer(Module):
         relations = edges[:, 1]
         destinations = edges[:, 2]
 
-        source_features = node_features.gather_rows(sources)  # (E, in_dim)
-        messages = self.edge_messages(source_features, relations)  # (E, out_dim)
-
-        dropout_gate = None
+        # Constant per-edge scale: degree norm, times the dropout mask.
+        scale = degree_normalization(destinations, num_nodes)  # (E, 1)
         if self.training and self.dropout_rate > 0:
             if edge_identity is None:
                 edge_identity = edge_keys(hxp.arange(num_nodes, dtype=hxp.int64), edges)
-            dropout_gate = Tensor(counter_dropout_mask(
+            scale = scale * counter_dropout_mask(
                 self.dropout_clock, self.layer_index, edge_identity,
-                self.dropout_rate))
-
+                self.dropout_rate)
+        edge_weights = Tensor(scale)
         if self.attention is not None:
-            destination_features = node_features.gather_rows(destinations)
-            relation_features = self.relation_embedding.gather_rows(relations)
-            attention_input = F.concat(
-                [source_features, destination_features, relation_features], axis=1
-            )
-            gate = self.attention(attention_input).sigmoid()  # (E, 1)
-            if dropout_gate is not None:
-                gate = gate * dropout_gate
-        else:
-            gate = dropout_gate
+            edge_weights = self.attention_gate(
+                node_features, sources, relations, destinations) * edge_weights
 
-        # Fold the scalar degree normalization into the (E, 1) gate so the
-        # per-edge message matrix is scaled once, not twice.
-        norm = Tensor(degree_normalization(destinations, num_nodes))
-        gate = norm if gate is None else gate * norm
-
-        aggregated = aggregate_messages(messages, destinations, num_nodes, weights=gate)
+        source_features = node_features.gather_rows(sources)  # (E, in_dim)
+        messages = self.edge_messages(source_features, relations, edge_weights)
+        aggregated = aggregate_messages(messages, destinations, num_nodes)
         out = self_message + aggregated + self.bias
         return out.relu()

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
+from repro.gnn.edge_dropout import counter_dropout_mask, edge_keys
 from repro.gnn.encoder import SubgraphEncoder
 from repro.gnn.message_passing import aggregate_messages, degree_normalization
 from repro.gnn.pooling import max_pool_nodes, mean_pool_nodes, sum_pool_nodes
@@ -13,6 +15,8 @@ from repro.gnn.rgcn import RGCNLayer
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.subgraph.extraction import extract_enclosing_subgraph
+
+from test_tensor_ops import numerical_gradient
 
 
 class TestMessagePassing:
@@ -105,6 +109,133 @@ class TestRGCNLayer:
         base = layer(Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])), graph_edges).data[1]
         changed = layer(Tensor(np.array([[5.0, 0.0], [0.0, 0.0]])), graph_edges).data[1]
         assert not np.allclose(base, changed)
+
+
+def reference_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
+                           edge_identity=None) -> Tensor:
+    """The oracle for :meth:`RGCNLayer.forward`: the layer's earlier composition.
+
+    The attention logit is ``Linear`` over the ``[x_src | x_dst | r]``
+    concat; messages are a broadcast multiply and a sum over the basis axis;
+    the sigmoid gate, dropout mask and degree norm weight the messages inside
+    ``aggregate_messages``.  The layer computes the same function in another
+    order, so the two agree to float64 rounding.
+    """
+    num_nodes = node_features.shape[0]
+    self_message = node_features @ layer.self_weight
+    if edges.size == 0:
+        return (self_message + layer.bias).relu()
+    sources, relations, destinations = edges[:, 0], edges[:, 1], edges[:, 2]
+    num_edges, bases = len(relations), layer.num_bases
+    source_features = node_features.gather_rows(sources)
+    coeff = layer.coefficients.gather_rows(relations)
+    basis_matrix = (layer.basis.reshape(bases, layer.in_dim, layer.out_dim)
+                    .transpose(1, 0, 2).reshape(layer.in_dim, bases * layer.out_dim))
+    projected = (source_features @ basis_matrix).reshape(num_edges, bases, layer.out_dim)
+    messages = (projected * coeff.reshape(num_edges, bases, 1)).sum(axis=1)
+    dropout_gate = None
+    if layer.training and layer.dropout_rate > 0:
+        if edge_identity is None:
+            edge_identity = edge_keys(np.arange(num_nodes, dtype=np.int64), edges)
+        dropout_gate = Tensor(counter_dropout_mask(
+            layer.dropout_clock, layer.layer_index, edge_identity, layer.dropout_rate))
+    gate = dropout_gate
+    if layer.attention is not None:
+        attention_input = F.concat([source_features,
+                                    node_features.gather_rows(destinations),
+                                    layer.relation_embedding.gather_rows(relations)], axis=1)
+        gate = layer.attention(attention_input).sigmoid()
+        if dropout_gate is not None:
+            gate = gate * dropout_gate
+    norm = Tensor(degree_normalization(destinations, num_nodes))
+    gate = norm if gate is None else gate * norm
+    aggregated = aggregate_messages(messages, destinations, num_nodes, weights=gate)
+    return (self_message + aggregated + layer.bias).relu()
+
+
+def _edge_path_case(use_attention: bool, dropout: float, wide: bool = False):
+    """A layer, inputs and cotangent; dropout > 0 runs in training mode.
+
+    The small case has duplicate destinations, a self loop and a node
+    without in-edges; the wide one has the default GSM width and a union
+    graph's edge density.
+    """
+    rng = np.random.default_rng(3)
+    dims, relations, bases, nodes = (32, 10, 4, 200) if wide else (3, 3, 2, 6)
+    out_dim = 32 if wide else 4
+    layer = RGCNLayer(dims, out_dim, num_relations=relations, num_bases=bases,
+                      use_attention=use_attention, dropout=dropout,
+                      rng=np.random.default_rng(0))
+    layer.bias.data = rng.normal(size=out_dim)  # keep outputs off the ReLU kink
+    if use_attention:
+        layer.attention.bias.data = rng.normal(size=1)
+    layer.train() if dropout > 0 else layer.eval()
+    features = rng.normal(size=(nodes, dims))
+    if wide:
+        edges = np.stack([rng.integers(0, nodes, 800), rng.integers(0, relations, 800),
+                          rng.integers(0, nodes, 800)], axis=1)
+    else:
+        edges = np.array([[0, 0, 1], [2, 1, 1], [3, 2, 1], [1, 0, 2], [4, 1, 2],
+                          [5, 2, 3], [3, 1, 3], [2, 2, 4], [0, 1, 0], [1, 2, 4]])
+    cotangent = rng.normal(size=(nodes, out_dim))
+    return layer, features, edges, cotangent
+
+
+EDGE_PATH_CASES = [(attention, dropout) for attention in (True, False)
+                   for dropout in (0.0, 0.5)]
+
+
+class TestRGCNEdgePath:
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
+    def test_matches_reference_composition(self, use_attention, dropout, wide):
+        """Output and every gradient equal the oracle to 1e-12."""
+        layer, features, edges, cotangent = _edge_path_case(use_attention, dropout, wide)
+        results = []
+        for forward in (RGCNLayer.forward, reference_rgcn_forward):
+            layer.zero_grad()
+            x = Tensor(features, requires_grad=True)
+            out = forward(layer, x, edges)
+            (out * Tensor(cotangent)).sum().backward()
+            grads = {name: param.grad.copy() for name, param in layer.named_parameters()
+                     if param.grad is not None}
+            results.append((out.data.copy(), x.grad.copy(), grads))
+        (out, x_grad, grads), (ref_out, ref_x_grad, ref_grads) = results
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x_grad, ref_x_grad, rtol=0, atol=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
+    def test_gradcheck_input_and_every_parameter(self, use_attention, dropout):
+        layer, features, edges, cotangent = _edge_path_case(use_attention, dropout)
+
+        def loss(x: Tensor) -> Tensor:
+            return (layer(x, edges) * Tensor(cotangent)).sum()
+
+        x = Tensor(features.copy(), requires_grad=True)
+        layer.zero_grad()
+        loss(x).backward()
+        np.testing.assert_allclose(
+            x.grad, numerical_gradient(lambda a: float(loss(Tensor(a)).data), features.copy()),
+            atol=1e-6)
+        for name, param in layer.named_parameters():
+            if name == "relation_embedding" and not use_attention:
+                assert param.grad is None  # read by the attention gate only
+                continue
+
+            def perturbed(value, param=param):
+                saved = param.data
+                param.data = value
+                try:
+                    return float(loss(Tensor(features)).data)
+                finally:
+                    param.data = saved
+
+            numeric = numerical_gradient(perturbed, param.data.copy())
+            np.testing.assert_allclose(param.grad, numeric, atol=1e-6, err_msg=name)
 
 
 class TestSubgraphEncoder:
