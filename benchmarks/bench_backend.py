@@ -17,7 +17,7 @@ downgrades them to a report on contended runners; the bit-identity gate
 always stays hard):
 
 * dense rows (``num_rows <= 4 * num_edges``, the training shape included):
-  >= 1.5x; measured 2.4-3.3x on a 2-core x86 box;
+  >= 1.5x; measured 2.4-4.6x on a 2-core x86 box;
 * sparse rows: >= 1.0x, i.e. the kernel never loses to ``np.add.at``.
   Both kernels there spend most of their time faulting in the pages of a
   32-64 MB output, which they share, so the ratio swings with the page

@@ -49,8 +49,8 @@ NUM_LINKS = 50       # links scored per measurement (matches Table IV)
 def _seed_edge_messages(self, source_features, relations, edge_weights=None):
     """Seed per-edge matvec: materializes an (E, in_dim, out_dim) tensor.
 
-    The seed weighted messages inside the dense aggregation; the layer now
-    hands the per-edge weights to ``edge_messages``, so they apply here.
+    ``edge_weights`` (gate x dropout x degree norm, from the layer) scales
+    each message, as the seed's weighted dense aggregation did.
     """
     weights = self.relation_weights(relations)
     messages = (source_features.reshape(len(relations), self.in_dim, 1) * weights).sum(axis=1)
