@@ -194,6 +194,24 @@ class TestScatterDispatch:
             with pytest.raises(IndexError):
                 NumpyBackend().scatter_rows(indices, values, 3)
 
+    def test_dense_2d_path_is_bit_identical(self):
+        """A dense, duplicate-heavy 2-D scatter equals ``np.add.at`` exactly."""
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(4096, 16))
+        indices = rng.integers(0, 512, 4096)
+        np.testing.assert_array_equal(
+            NumpyBackend().scatter_rows(indices, values, 512),
+            _reference_scatter(indices, values, 512))
+
+    def test_3d_values_fall_back_to_add_at(self):
+        """3-D values give exactly the ``np.add.at`` result, as 2-D ones do."""
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(300, 4, 2))
+        indices = rng.integers(0, 10, 300)
+        np.testing.assert_array_equal(
+            NumpyBackend().scatter_rows(indices, values, 10),
+            _reference_scatter(indices, values, 10))
+
     def test_empty_and_unoccupied_rows(self):
         backend = NumpyBackend()
         out = backend.scatter_rows(np.zeros(0, dtype=np.int64),
