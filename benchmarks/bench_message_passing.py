@@ -46,7 +46,7 @@ NUM_LINKS = 50       # links scored per measurement (matches Table IV)
 # --------------------------------------------------------------------- #
 # seed-implementation reconstructions
 # --------------------------------------------------------------------- #
-def _seed_edge_messages(self, source_features, relations, edge_weights=None):
+def _seed_edge_messages(self, source_features, relations, edge_weights):
     """Seed per-edge matvec: materializes an (E, in_dim, out_dim) tensor.
 
     ``edge_weights`` (gate x dropout x degree norm, from the layer) scales
@@ -54,7 +54,7 @@ def _seed_edge_messages(self, source_features, relations, edge_weights=None):
     """
     weights = self.relation_weights(relations)
     messages = (source_features.reshape(len(relations), self.in_dim, 1) * weights).sum(axis=1)
-    return messages if edge_weights is None else messages * edge_weights
+    return messages * edge_weights
 
 
 def _seed_k_hop(graph, entity, hops, exclude=None):
@@ -187,7 +187,7 @@ def test_aggregate_messages_micro():
             def step():
                 messages = Tensor(msg_values, requires_grad=True)
                 weights = Tensor(gate_values, requires_grad=True)
-                out = aggregate(messages, destinations, num_nodes, weights=weights)
+                out = aggregate(messages * weights, destinations, num_nodes)
                 out.sum().backward()
                 return out.data
             return step

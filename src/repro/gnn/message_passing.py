@@ -15,32 +15,27 @@ from repro.backend import active_backend, xp
 from repro.autodiff.tensor import Tensor, scatter_add
 
 
-def aggregate_messages(messages: Tensor, destinations, num_nodes: int,
-                       weights: Tensor | None = None) -> Tensor:
-    """Sum (optionally weighted) edge ``messages`` into their destination nodes.
+def aggregate_messages(messages: Tensor, destinations, num_nodes: int) -> Tensor:
+    """Sum edge ``messages`` into their destination nodes.
 
     Parameters
     ----------
     messages:
-        ``(num_edges, dim)`` tensor, one message per edge.
+        ``(num_edges, dim)`` tensor, one finished message per edge (any
+        attention or normalization weight already applied).
     destinations:
         ``(num_edges,)`` integer array of destination node indices.
     num_nodes:
         Number of rows of the output.
-    weights:
-        Optional ``(num_edges, 1)`` attention weights multiplied into messages.
 
-    Gradients flow to both ``messages`` and ``weights`` through the autodiff
-    engine; the backward of the scatter is a plain row gather.
+    Gradients flow to ``messages`` through the autodiff engine; the backward
+    of the scatter is a plain row gather.
     """
     destinations = active_backend().asindex(destinations)
-    if weights is not None:
-        messages = messages * weights
     return scatter_add(messages, destinations, num_nodes)
 
 
-def aggregate_messages_dense(messages: Tensor, destinations, num_nodes: int,
-                             weights: Tensor | None = None) -> Tensor:
+def aggregate_messages_dense(messages: Tensor, destinations, num_nodes: int) -> Tensor:
     """Reference implementation via a dense one-hot scatter matrix.
 
     Builds the ``(num_nodes, num_edges)`` matrix the optimized path avoids.
@@ -49,8 +44,6 @@ def aggregate_messages_dense(messages: Tensor, destinations, num_nodes: int,
     """
     backend = active_backend()
     destinations = backend.asindex(destinations)
-    if weights is not None:
-        messages = messages * weights
     num_edges = messages.shape[0]
     scatter = xp.zeros((num_nodes, num_edges), dtype=backend.float_dtype)
     scatter[destinations, xp.arange(num_edges)] = 1.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.backend import hxp
+from repro.backend import active_backend, hxp
 
 from repro.autodiff import init
 from repro.autodiff.layers import Linear
@@ -98,7 +98,7 @@ class RGCNLayer(Module):
         return flat.reshape(len(relations), self.in_dim, self.out_dim)
 
     def edge_messages(self, source_features: Tensor, relations,
-                      edge_weights: Optional[Any] = None) -> Tensor:
+                      edge_weights: Tensor) -> Tensor:
         """Per-edge messages ``w_e · x_src @ W_rel`` via the basis decomposition.
 
         Instead of materializing one ``(in_dim, out_dim)`` matrix per edge,
@@ -109,14 +109,12 @@ class RGCNLayer(Module):
         node.  The largest temporary is ``(E, num_bases, out_dim)`` rather
         than ``(E, in_dim, out_dim)``, and the hot path stays in BLAS
         regardless of how many edges share a relation.  ``edge_weights``
-        (a tensor or array of shape ``(E, 1)``) scales each edge's message;
-        it is folded into the ``(E, num_bases)`` coefficients, not applied to
-        the ``(E, out_dim)`` result.
+        (shape ``(E, 1)``) scales each edge's message; it is folded into the
+        ``(E, num_bases)`` coefficients, not applied to the ``(E, out_dim)``
+        result.
         """
         num_edges = len(relations)
-        coeff = self.coefficients.gather_rows(relations)  # (E, B)
-        if edge_weights is not None:
-            coeff = coeff * edge_weights
+        coeff = self.coefficients.gather_rows(relations) * edge_weights  # (E, B)
         # (in, B*out) view of the basis stack -> one GEMM for all projections.
         basis_matrix = (self.basis
                         .reshape(self.num_bases, self.in_dim, self.out_dim)
@@ -177,9 +175,10 @@ class RGCNLayer(Module):
         if self.training and self.dropout_rate > 0:
             if edge_identity is None:
                 edge_identity = edge_keys(hxp.arange(num_nodes, dtype=hxp.int64), edges)
-            scale = scale * counter_dropout_mask(
+            # The mask is drawn on the host; move it to the compute device.
+            scale = scale * active_backend().asarray(counter_dropout_mask(
                 self.dropout_clock, self.layer_index, edge_identity,
-                self.dropout_rate)
+                self.dropout_rate))
         edge_weights = Tensor(scale)
         if self.attention is not None:
             edge_weights = self.attention_gate(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
+from repro.backend import active_backend
 from repro.gnn.edge_dropout import counter_dropout_mask, edge_keys
 from repro.gnn.encoder import SubgraphEncoder
 from repro.gnn.message_passing import aggregate_messages, degree_normalization
@@ -29,7 +30,7 @@ class TestMessagePassing:
     def test_aggregate_with_weights(self):
         messages = Tensor(np.array([[2.0], [4.0]]))
         weights = Tensor(np.array([[0.5], [0.25]]))
-        out = aggregate_messages(messages, np.array([0, 0]), num_nodes=1, weights=weights)
+        out = aggregate_messages(messages * weights, np.array([0, 0]), num_nodes=1)
         assert out.data[0, 0] == pytest.approx(2.0)
 
     def test_aggregate_gradient_flows(self):
@@ -117,9 +118,10 @@ def reference_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
 
     The attention logit is ``Linear`` over the ``[x_src | x_dst | r]``
     concat; messages are a broadcast multiply and a sum over the basis axis;
-    the sigmoid gate, dropout mask and degree norm weight the messages inside
-    ``aggregate_messages``.  The layer computes the same function in another
-    order, so the two agree to float64 rounding.
+    the sigmoid gate, dropout mask and degree norm weight the finished
+    ``(E, out_dim)`` messages before ``aggregate_messages``.  The layer
+    computes the same function in another order, so the two agree to float64
+    rounding.
     """
     num_nodes = node_features.shape[0]
     self_message = node_features @ layer.self_weight
@@ -149,7 +151,7 @@ def reference_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
             gate = gate * dropout_gate
     norm = Tensor(degree_normalization(destinations, num_nodes))
     gate = norm if gate is None else gate * norm
-    aggregated = aggregate_messages(messages, destinations, num_nodes, weights=gate)
+    aggregated = aggregate_messages(messages * gate, destinations, num_nodes)
     return (self_message + aggregated + layer.bias).relu()
 
 
@@ -207,6 +209,26 @@ class TestRGCNEdgePath:
         for name in ref_grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_dropout_mask_moves_to_the_compute_backend(self, monkeypatch, use_attention):
+        """The mask is drawn as a host array; it must pass the backend's
+        ``asarray`` before it meets the device-side degree norm (on numpy the
+        two are the same kind of array, so a missed conversion is silent)."""
+        import repro.gnn.rgcn as rgcn_mod
+
+        masks, converted = [], []
+        draw_mask = rgcn_mod.counter_dropout_mask
+        monkeypatch.setattr(rgcn_mod, "counter_dropout_mask",
+                            lambda *args: masks.append(draw_mask(*args)) or masks[-1])
+        backend = active_backend()
+        to_device = backend.asarray
+        monkeypatch.setattr(backend, "asarray",
+                            lambda data: converted.append(data) or to_device(data))
+        layer, features, edges, _ = _edge_path_case(use_attention, dropout=0.5)
+        layer(Tensor(features), edges)
+        assert len(masks) == 1
+        assert any(data is masks[0] for data in converted)
 
     @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
     def test_gradcheck_input_and_every_parameter(self, use_attention, dropout):

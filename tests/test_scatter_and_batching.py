@@ -108,8 +108,8 @@ class TestAggregateEquivalence:
         messages = Tensor(rng.normal(size=(num_edges, 5)))
         weights = Tensor(rng.uniform(0.1, 1.0, size=(num_edges, 1)))
         destinations = rng.integers(0, num_nodes, num_edges)
-        sparse = aggregate_messages(messages, destinations, num_nodes, weights=weights)
-        dense = aggregate_messages_dense(messages, destinations, num_nodes, weights=weights)
+        sparse = aggregate_messages(messages * weights, destinations, num_nodes)
+        dense = aggregate_messages_dense(messages * weights, destinations, num_nodes)
         np.testing.assert_allclose(sparse.data, dense.data, atol=1e-12)
 
     def test_forward_equivalence_zero_edges(self):
@@ -128,7 +128,7 @@ class TestAggregateEquivalence:
         for aggregate in (aggregate_messages, aggregate_messages_dense):
             messages = Tensor(values.copy(), requires_grad=True)
             weights = Tensor(gates.copy(), requires_grad=True)
-            out = aggregate(messages, destinations, 5, weights=weights)
+            out = aggregate(messages * weights, destinations, 5)
             (out ** 2).sum().backward()
             grads[aggregate.__name__] = (messages.grad.copy(), weights.grad.copy())
         sparse_grads = grads["aggregate_messages"]
@@ -148,7 +148,7 @@ class TestAggregateEquivalence:
                           rng=np.random.default_rng(0))
         relations = rng.integers(0, 3, 11)
         source_features = Tensor(rng.normal(size=(11, 6)))
-        fast = layer.edge_messages(source_features, relations)
+        fast = layer.edge_messages(source_features, relations, Tensor(np.ones((11, 1))))
         weights = layer.relation_weights(relations)
         reference = (source_features.reshape(11, 6, 1) * weights).sum(axis=1)
         np.testing.assert_allclose(fast.data, reference.data, atol=1e-10)
