@@ -7,9 +7,10 @@ neighborhoods, subgraphs capped at 150 nodes):
 * seed: dense ``(num_nodes, num_edges)`` one-hot scatter matmul per layer,
   per-edge ``(E, in_dim, out_dim)`` relation-weight materialization, one GNN
   pass per scored link, Python set/list BFS during extraction;
-* new: ``scatter_add``/``gather`` autodiff primitives, basis-projection GEMM
-  messages, CSR-array BFS, and block-diagonal batched scoring with cached
-  relation-agnostic extractions.
+* new: the fused ``basis_message_passing`` autodiff node (one node-side
+  basis GEMM, gather, basis contraction and scatter per layer), CSR-array
+  BFS, and block-diagonal batched scoring with cached relation-agnostic
+  extractions.
 
 The seed compute path is reconstructed here (dense aggregation is still
 shipped as ``aggregate_messages_dense``; the per-edge weight materialization
@@ -46,15 +47,20 @@ NUM_LINKS = 50       # links scored per measurement (matches Table IV)
 # --------------------------------------------------------------------- #
 # seed-implementation reconstructions
 # --------------------------------------------------------------------- #
-def _seed_edge_messages(self, source_features, relations, edge_weights):
-    """Seed per-edge matvec: materializes an (E, in_dim, out_dim) tensor.
+def _seed_edge_messages(self, node_features, sources, relations, destinations,
+                        edge_weights):
+    """Seed edge path: per-edge matvec, then the dense one-hot aggregation.
 
+    Materializes an ``(E, in_dim, out_dim)`` weight tensor for the messages
+    and sums them through a ``(num_nodes, num_edges)`` scatter matmul.
     ``edge_weights`` (gate x dropout x degree norm, from the layer) scales
     each message, as the seed's weighted dense aggregation did.
     """
     weights = self.relation_weights(relations)
+    source_features = node_features.gather_rows(sources)
     messages = (source_features.reshape(len(relations), self.in_dim, 1) * weights).sum(axis=1)
-    return messages * edge_weights
+    return aggregate_messages_dense(messages * edge_weights, destinations,
+                                    node_features.shape[0])
 
 
 def _seed_k_hop(graph, entity, hops, exclude=None):
@@ -112,17 +118,30 @@ def _seed_collect_edges(graph, nodes, node_index, target=None):
 
 
 class _seed_compute_path:
-    """Context manager that swaps the GNN compute kernels back to the seed ones."""
+    """Context manager that swaps the layer's fused edge path for the seed one.
+
+    ``RGCNLayer.edge_messages`` is the layer's single call into message
+    passing, so replacing it routes every layer through
+    :func:`_seed_edge_messages`.  The seed calls are counted, and leaving the
+    context asserts there were some, so a layer that stops calling
+    ``edge_messages`` cannot make the seed side silently run the new code.
+    """
 
     def __enter__(self):
+        self.calls = 0
         self._messages = rgcn_mod.RGCNLayer.edge_messages
-        rgcn_mod.RGCNLayer.edge_messages = _seed_edge_messages
-        rgcn_mod.aggregate_messages = aggregate_messages_dense
+
+        def seed_edge_messages(layer, *args):
+            self.calls += 1
+            return _seed_edge_messages(layer, *args)
+
+        rgcn_mod.RGCNLayer.edge_messages = seed_edge_messages
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         rgcn_mod.RGCNLayer.edge_messages = self._messages
-        rgcn_mod.aggregate_messages = aggregate_messages
+        if exc_type is None:
+            assert self.calls > 0, "the seed edge path never ran"
         return False
 
 

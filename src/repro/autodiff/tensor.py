@@ -31,9 +31,10 @@ are exact adjoints of each other:
 
 Together they let message passing over ``E`` edges run in ``O(E * dim)``
 instead of materializing a dense ``(num_nodes, num_edges)`` one-hot scatter
-matrix per layer.  :func:`basis_sum` is the third: the per-edge weighted sum
-over the R-GCN basis axis, one node instead of a broadcast multiply and a
-sum.
+matrix per layer.  :func:`basis_message_passing` is the third: one R-GCN
+message-passing round over the basis decomposition (project, gather, basis
+contraction, scatter) as a single node, whose tape keeps one ``(E, ·)``
+array instead of the unfused chain's four.
 """
 
 from __future__ import annotations
@@ -572,30 +573,65 @@ def scatter_add(source: Tensor, indices, num_segments: int) -> Tensor:
     return Tensor._make(out, (source,), backward)
 
 
-def basis_sum(values: Tensor, weights: Tensor) -> Tensor:
-    """Per-row weighted sum over the middle axis: ``out[e] = weights[e] @ values[e]``.
+def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: Tensor,
+                          sources, destinations) -> Tensor:
+    """One relational message-passing round over a basis decomposition, as one node.
 
-    ``values`` is ``(E, B, O)`` and ``weights`` is ``(E, B)``; the result is
-    ``out[e, o] = sum_b values[e, b, o] * weights[e, b]``, the R-GCN basis
-    contraction ``sum_b coeff[rel_e, b] * (x_src_e @ basis_b)``.  Both
-    directions are plain ``einsum`` calls (no ``optimize=``, so each row's
-    sum is computed the same way whatever the batch); the forward is
-    bit-identical to a broadcast multiply followed by ``sum(axis=1)`` for
-    ``O >= 2``.  Backward produces one ``(E, B, O)`` array for ``values`` and
-    contracts ``values`` with the ``(E, O)`` gradient for ``weights``,
-    instead of the broadcast multiply's zero-stride operands and three
-    ``(E, B, O)`` temporaries.
+    ``features`` is ``(N, in)``, ``basis_matrix`` the ``(in, B·out)`` side-by-side
+    stack ``[V_0 | … | V_{B-1}]`` of the bases and ``coefficients`` ``(E, B)``;
+    edge ``e`` runs from node ``sources[e]`` to node ``destinations[e]``.  The
+    result is ``(N, out)``::
+
+        out[v] = Σ_{e: destinations[e] = v} Σ_b coefficients[e, b] · (features[sources[e]] @ V_b)
+
+    Forward projects the nodes once (``P = features @ basis_matrix``, an
+    ``N``-row GEMM), gathers ``P[sources]``, contracts the basis axis with
+    ``einsum("ebo,eb->eo")`` and sums the messages into their destinations
+    with the backend's ``scatter_rows``.  A GEMM row does not depend on the
+    other rows, so this equals the unfused ``gather → @ → einsum →
+    scatter_add`` chain bit for bit, as does the backward: that chain's
+    backward written out once, through the same kernels.  (Numpy multiplies
+    a one-row matrix on another BLAS path, so the two differ in rounding
+    when exactly one of ``N`` and ``E`` is 1.)
+
+    The node keeps only ``P[sources]`` for its backward.  The chain's
+    ``(E, in)`` gathered features, ``(E, B·out)`` projection and ``(E, out)``
+    messages never become tape nodes; backward regathers the features.
     """
-    data = xp.einsum("ebo,eb->eo", values.data, weights.data)
+    backend = active_backend()
+    sources = backend.asindex(sources)
+    destinations = backend.asindex(destinations)
+    num_nodes = features.data.shape[0]
+    num_edges, num_bases = coefficients.data.shape
+    width = basis_matrix.data.shape[1]  # B * out
+    if sources.ndim != 1 or sources.shape != destinations.shape or sources.shape[0] != num_edges:
+        raise ValueError(
+            f"basis_message_passing expects 1-D sources and destinations with one entry "
+            f"per coefficient row ({num_edges}), got shapes {sources.shape} and "
+            f"{destinations.shape}")
+    for indices in (sources, destinations):
+        if indices.size and (indices.min() < 0 or indices.max() >= num_nodes):
+            raise IndexError("basis_message_passing node indices out of range")
+    projected = backend.gather_rows(features.data @ basis_matrix.data, sources)
+    projected = projected.reshape(num_edges, num_bases, width // num_bases)  # (E, B, out)
+    messages = xp.einsum("ebo,eb->eo", projected, coefficients.data)
+    out = backend.scatter_rows(destinations, messages, num_nodes)
 
     def backward(grad) -> None:
-        grad = _as_array(grad)
-        if values.requires_grad:
-            values._accumulate(grad[:, None, :] * weights.data[:, :, None])
-        if weights.requires_grad:
-            weights._accumulate(xp.einsum("ebo,eo->eb", values.data, grad))
+        grad = backend.gather_rows(backend.asarray(grad), destinations)  # (E, out)
+        if coefficients.requires_grad:
+            coefficients._accumulate(xp.einsum("ebo,eo->eb", projected, grad))
+        if not (features.requires_grad or basis_matrix.requires_grad):
+            return
+        grad = xp.einsum("eo,eb->ebo", grad, coefficients.data).reshape(num_edges, width)
+        if features.requires_grad:
+            features._accumulate(backend.scatter_rows(
+                sources, grad @ basis_matrix.data.T, num_nodes))
+        if basis_matrix.requires_grad:
+            gathered = backend.gather_rows(features.data, sources)  # (E, in)
+            basis_matrix._accumulate(gathered.T @ grad)
 
-    return Tensor._make(data, (values, weights), backward)
+    return Tensor._make(out, (features, basis_matrix, coefficients), backward)
 
 
 def segment_sum(source: Tensor, segment_ids, num_segments: int) -> Tensor:

@@ -1,8 +1,11 @@
 """Sparse relational message passing built on the scatter-add primitive.
 
-:func:`aggregate_messages` sums per-edge messages into their destination nodes
-through :func:`repro.autodiff.tensor.scatter_add`, so one layer over ``E``
-edges costs ``O(E * dim)`` in time and memory.  The previous implementation —
+:func:`aggregate_messages` sums finished per-edge messages into their
+destination nodes through :func:`repro.autodiff.tensor.scatter_add`, so one
+layer over ``E`` edges costs ``O(E * dim)`` in time and memory.  The R-GCN
+layer does this sum inside its fused
+:func:`~repro.autodiff.tensor.basis_message_passing` node instead, through
+the same backend kernel.  The previous implementation —
 kept as :func:`aggregate_messages_dense` for equivalence tests and
 benchmarking — materialized a dense ``(num_nodes, num_edges)`` one-hot scatter
 matrix per layer per subgraph, which dominated evaluation cost.

@@ -11,8 +11,9 @@ The edge path never builds an ``(E, ·)`` feature concat.  The attention logit
 r · w_rel + b``: each term is a row-wise multiply-and-sum over nodes (or
 relations), gathered as one scalar per edge.  The per-edge scale — sigmoid
 gate × dropout mask × degree norm — is folded into the ``(E, B)`` basis
-coefficients, so the basis sum yields finished messages that are summed into
-their destinations without another ``(E, out_dim)`` multiply.
+coefficients, and projection, basis contraction and the sum into
+destinations run as one autodiff node
+(:func:`~repro.autodiff.tensor.basis_message_passing`).
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from repro.backend import active_backend, hxp
 from repro.autodiff import init
 from repro.autodiff.layers import Linear
 from repro.autodiff.module import Module, Parameter
-from repro.autodiff.tensor import Tensor, basis_sum, gather
+from repro.autodiff.tensor import Tensor, basis_message_passing, gather
 from repro.gnn.edge_dropout import DropoutClock, counter_dropout_mask, edge_keys
-from repro.gnn.message_passing import aggregate_messages, degree_normalization
+from repro.gnn.message_passing import degree_normalization
 
 
 class RGCNLayer(Module):
@@ -97,32 +98,28 @@ class RGCNLayer(Module):
         flat = coeff @ self.basis  # (E, in*out)
         return flat.reshape(len(relations), self.in_dim, self.out_dim)
 
-    def edge_messages(self, source_features: Tensor, relations,
+    def edge_messages(self, node_features: Tensor, sources, relations, destinations,
                       edge_weights: Tensor) -> Tensor:
-        """Per-edge messages ``w_e · x_src @ W_rel`` via the basis decomposition.
+        """Messages ``w_e · x_src @ W_rel`` summed into their destinations, ``(N, out_dim)``.
 
         Instead of materializing one ``(in_dim, out_dim)`` matrix per edge,
-        exploit ``W_r = Σ_b coeff[r, b] · basis_b``: project the whole edge
-        batch through every basis in a single dense GEMM and take the
+        exploit ``W_r = Σ_b coeff[r, b] · basis_b``: project every node
+        through all bases in one GEMM and take each edge's
         coefficient-weighted sum over the (small) basis axis —
-        ``Σ_b coeff[rel_e, b] · (x_src_e @ basis_b)``, one :func:`basis_sum`
-        node.  The largest temporary is ``(E, num_bases, out_dim)`` rather
-        than ``(E, in_dim, out_dim)``, and the hot path stays in BLAS
-        regardless of how many edges share a relation.  ``edge_weights``
-        (shape ``(E, 1)``) scales each edge's message; it is folded into the
-        ``(E, num_bases)`` coefficients, not applied to the ``(E, out_dim)``
-        result.
+        ``Σ_b coeff[rel_e, b] · (x_src_e @ basis_b)`` — inside one
+        :func:`~repro.autodiff.tensor.basis_message_passing` node, which also
+        sums the messages into their destinations.  ``edge_weights`` (shape
+        ``(E, 1)``) scales each edge's message; it is folded into the
+        ``(E, num_bases)`` coefficients.
         """
-        num_edges = len(relations)
         coeff = self.coefficients.gather_rows(relations) * edge_weights  # (E, B)
         # (in, B*out) view of the basis stack -> one GEMM for all projections.
         basis_matrix = (self.basis
                         .reshape(self.num_bases, self.in_dim, self.out_dim)
                         .transpose(1, 0, 2)
                         .reshape(self.in_dim, self.num_bases * self.out_dim))
-        projected = (source_features @ basis_matrix).reshape(
-            num_edges, self.num_bases, self.out_dim)
-        return basis_sum(projected, coeff)
+        return basis_message_passing(node_features, basis_matrix, coeff, sources,
+                                     destinations)
 
     def attention_gate(self, node_features: Tensor, sources, relations,
                        destinations) -> Tensor:
@@ -184,8 +181,7 @@ class RGCNLayer(Module):
             edge_weights = self.attention_gate(
                 node_features, sources, relations, destinations) * edge_weights
 
-        source_features = node_features.gather_rows(sources)  # (E, in_dim)
-        messages = self.edge_messages(source_features, relations, edge_weights)
-        aggregated = aggregate_messages(messages, destinations, num_nodes)
+        aggregated = self.edge_messages(node_features, sources, relations, destinations,
+                                        edge_weights)
         out = self_message + aggregated + self.bias
         return out.relu()

@@ -31,8 +31,8 @@ from hypothesis.extra.numpy import arrays
 import repro
 from repro.autodiff import functional as F
 from repro.autodiff.layers import Dropout
-from repro.autodiff.tensor import (Tensor, basis_sum, gather, scatter_add, segment_mean,
-                                   segment_sum)
+from repro.autodiff.tensor import (Tensor, basis_message_passing, gather, scatter_add,
+                                   segment_mean, segment_sum)
 from repro.backend import (BACKEND_ENV_VAR, BackendUnavailableError, NumpyBackend,
                            TracingBackend, active_backend, available_backends,
                            get_backend, hxp, known_backend_names, register_backend,
@@ -269,7 +269,7 @@ PRIMITIVES = {
         a, lambda x: segment_sum(x, np.arange(a.shape[0]) % 2, 3)),
     "segment_mean": lambda a: _unary(
         a, lambda x: segment_mean(x, np.arange(a.shape[0]) % 2, 3)),
-    "basis_sum": lambda a: _basis(a),
+    "basis_message_passing": lambda a: _message_passing(a),
     "softmax": lambda a: _unary(a, lambda x: F.softmax(x, axis=-1)),
     "log_softmax": lambda a: _unary(a, lambda x: F.log_softmax(x, axis=-1)),
     "bce_with_logits": lambda a: _binary(
@@ -297,11 +297,15 @@ def _binary_t(base, op):
     return (x, y), op(x, y)
 
 
-def _basis(base):
-    """``basis_sum`` over two stacked bases of ``base``'s rows."""
-    values = Tensor(np.stack([base, base * 0.5 + 0.25], axis=1), requires_grad=True)
-    weights = Tensor(base[:, :1] * np.array([1.0, -0.5]) + 0.1, requires_grad=True)
-    return (values, weights), basis_sum(values, weights)
+def _message_passing(base):
+    """``basis_message_passing`` over ``base``'s rows as nodes, with two bases."""
+    index = _index_for(base.shape[0])
+    features = Tensor(base.copy(), requires_grad=True)
+    basis_matrix = Tensor(np.concatenate([base.T, base.T * 0.5 + 0.25], axis=1),
+                          requires_grad=True)
+    coefficients = Tensor(base[index, :1] * np.array([1.0, -0.5]) + 0.1, requires_grad=True)
+    out = basis_message_passing(features, basis_matrix, coefficients, index, index[::-1])
+    return (features, basis_matrix, coefficients), out
 
 
 def _run_primitive(name: str, base: np.ndarray):

@@ -17,6 +17,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.subgraph.extraction import extract_enclosing_subgraph
 
+from test_scatter_and_batching import basis_sum
 from test_tensor_ops import numerical_gradient
 
 
@@ -155,6 +156,53 @@ def reference_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
     return (self_message + aggregated + layer.bias).relu()
 
 
+def unfused_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
+                         edge_identity=None) -> Tensor:
+    """The second oracle: the layer with its edge path unfused, bit for bit.
+
+    Same scale and attention gate as :meth:`RGCNLayer.forward`, but the
+    gathered source rows, their ``(E, B·out)`` projection, its
+    ``(E, B, out)`` view and the ``(E, out)`` messages are separate tape
+    nodes before ``aggregate_messages``.  The fused node computes the same
+    arithmetic in the same order, so output and gradients match exactly.
+    """
+    num_nodes = node_features.shape[0]
+    self_message = node_features @ layer.self_weight
+    if edges.size == 0:
+        return (self_message + layer.bias).relu()
+    sources, relations, destinations = edges[:, 0], edges[:, 1], edges[:, 2]
+    num_edges, bases = len(relations), layer.num_bases
+    scale = degree_normalization(destinations, num_nodes)
+    if layer.training and layer.dropout_rate > 0:
+        if edge_identity is None:
+            edge_identity = edge_keys(np.arange(num_nodes, dtype=np.int64), edges)
+        scale = scale * counter_dropout_mask(layer.dropout_clock, layer.layer_index,
+                                             edge_identity, layer.dropout_rate)
+    edge_weights = Tensor(scale)
+    if layer.attention is not None:
+        edge_weights = layer.attention_gate(
+            node_features, sources, relations, destinations) * edge_weights
+    source_features = node_features.gather_rows(sources)
+    coeff = layer.coefficients.gather_rows(relations) * edge_weights
+    basis_matrix = (layer.basis.reshape(bases, layer.in_dim, layer.out_dim)
+                    .transpose(1, 0, 2).reshape(layer.in_dim, bases * layer.out_dim))
+    projected = (source_features @ basis_matrix).reshape(num_edges, bases, layer.out_dim)
+    messages = basis_sum(projected, coeff)
+    aggregated = aggregate_messages(messages, destinations, num_nodes)
+    return (self_message + aggregated + layer.bias).relu()
+
+
+def _run_layer(forward, layer: RGCNLayer, features, edges, cotangent):
+    """Output, input gradient and parameter gradients of one forward/backward."""
+    layer.zero_grad()
+    x = Tensor(features, requires_grad=True)
+    out = forward(layer, x, edges)
+    (out * Tensor(cotangent)).sum().backward()
+    grads = {name: param.grad.copy() for name, param in layer.named_parameters()
+             if param.grad is not None}
+    return out.data.copy(), x.grad.copy(), grads
+
+
 def _edge_path_case(use_attention: bool, dropout: float, wide: bool = False):
     """A layer, inputs and cotangent; dropout > 0 runs in training mode.
 
@@ -193,22 +241,51 @@ class TestRGCNEdgePath:
     def test_matches_reference_composition(self, use_attention, dropout, wide):
         """Output and every gradient equal the oracle to 1e-12."""
         layer, features, edges, cotangent = _edge_path_case(use_attention, dropout, wide)
-        results = []
-        for forward in (RGCNLayer.forward, reference_rgcn_forward):
-            layer.zero_grad()
-            x = Tensor(features, requires_grad=True)
-            out = forward(layer, x, edges)
-            (out * Tensor(cotangent)).sum().backward()
-            grads = {name: param.grad.copy() for name, param in layer.named_parameters()
-                     if param.grad is not None}
-            results.append((out.data.copy(), x.grad.copy(), grads))
-        (out, x_grad, grads), (ref_out, ref_x_grad, ref_grads) = results
+        out, x_grad, grads = _run_layer(RGCNLayer.forward, layer, features, edges, cotangent)
+        ref_out, ref_x_grad, ref_grads = _run_layer(reference_rgcn_forward, layer, features,
+                                                    edges, cotangent)
         np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(x_grad, ref_x_grad, rtol=0, atol=1e-12)
         assert grads.keys() == ref_grads.keys()
         for name in ref_grads:
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
                                        err_msg=name)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
+    def test_bit_identical_to_unfused_edge_path(self, use_attention, dropout, wide):
+        """Output, input gradient and every parameter gradient equal the
+        unfused edge path exactly."""
+        layer, features, edges, cotangent = _edge_path_case(use_attention, dropout, wide)
+        out, x_grad, grads = _run_layer(RGCNLayer.forward, layer, features, edges, cotangent)
+        ref_out, ref_x_grad, ref_grads = _run_layer(unfused_rgcn_forward, layer, features,
+                                                    edges, cotangent)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(x_grad, ref_x_grad)
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+    def test_tape_keeps_no_per_edge_feature_arrays(self):
+        """No tape tensor of a training-mode layer has one row per edge and
+        ``in_dim`` or more columns: the gathered sources, their projection
+        and the messages live inside the fused node, not on the tape."""
+        layer, features, edges, _ = _edge_path_case(True, 0.5, wide=True)
+        out = layer(Tensor(features, requires_grad=True), edges)
+        num_edges = len(edges)
+        assert num_edges != len(features)
+        per_edge, seen, stack = [], set(), [out]
+        while stack:
+            tensor = stack.pop()
+            if id(tensor) in seen:
+                continue
+            seen.add(id(tensor))
+            stack.extend(tensor._parents)
+            if (tensor.ndim and tensor.shape[0] == num_edges
+                    and tensor.size // num_edges >= layer.in_dim):
+                per_edge.append(tensor.shape)
+        assert len(seen) > 10  # the walk really covered the layer's graph
+        assert per_edge == []
 
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_dropout_mask_moves_to_the_compute_backend(self, monkeypatch, use_attention):

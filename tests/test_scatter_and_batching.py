@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import (Tensor, basis_sum, gather, scatter_add, segment_mean,
-                                   segment_sum)
+from repro.autodiff.tensor import (Tensor, basis_message_passing, gather, scatter_add,
+                                   segment_mean, segment_sum)
 from repro.core.config import ModelConfig
 from repro.core.gsm import GSM
 from repro.core.model import DEKGILP
@@ -32,6 +32,44 @@ def _random_graph(num_entities=60, num_relations=5, num_triples=300, seed=0):
     }
     return KnowledgeGraph(num_entities, num_relations,
                           [Triple(*t) for t in sorted(tuples)])
+
+
+def basis_sum(values: Tensor, weights: Tensor) -> Tensor:
+    """``out[e] = weights[e] @ values[e]`` over ``(E, B, O)`` values: one node.
+
+    The basis contraction of the unfused edge chain, kept here as part of
+    the oracle for :func:`basis_message_passing`.
+    """
+    data = np.einsum("ebo,eb->eo", values.data, weights.data)
+
+    def backward(grad) -> None:
+        if values.requires_grad:
+            values._accumulate(grad[:, None, :] * weights.data[:, :, None])
+        if weights.requires_grad:
+            weights._accumulate(np.einsum("ebo,eo->eb", values.data, grad))
+
+    return Tensor._make(data, (values, weights), backward)
+
+
+def unfused_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: Tensor,
+                            sources, destinations) -> Tensor:
+    """Oracle for :func:`basis_message_passing`: ``gather → @ → einsum → scatter_add``,
+    each step its own tape node."""
+    num_edges, num_bases = coefficients.shape
+    projected = (gather(features, sources) @ basis_matrix).reshape(num_edges, num_bases, -1)
+    return scatter_add(basis_sum(projected, coefficients), destinations, features.shape[0])
+
+
+def _message_passing_case(rng):
+    """Node features, a two-basis ``(in, B·out)`` matrix, coefficients and edges.
+
+    The edges repeat ``(3 -> 1)``, include the self loop ``(2 -> 2)`` and
+    leave node 0 without in-edges.
+    """
+    sources = np.array([3, 3, 2, 0, 4, 1, 2])
+    destinations = np.array([1, 1, 2, 3, 3, 4, 1])
+    return (rng.normal(size=(5, 3)), rng.normal(size=(3, 2 * 4)),
+            rng.normal(size=(len(sources), 2)), sources, destinations)
 
 
 class TestScatterGatherPrimitives:
@@ -87,17 +125,68 @@ class TestScatterGatherPrimitives:
         check_gradient(
             lambda t: (segment_mean(t, ids, 2) ** 2).sum(), rng.normal(size=(4, 2)))
 
-    def test_basis_sum_forward(self, rng):
-        values = rng.normal(size=(5, 3, 4))
-        weights = rng.normal(size=(5, 3))
-        out = basis_sum(Tensor(values), Tensor(weights))
-        np.testing.assert_array_equal(out.data, (values * weights[:, :, None]).sum(axis=1))
+    def test_basis_message_passing_matches_unfused_chain(self, rng):
+        """Forward and every gradient equal the unfused chain bit for bit."""
+        *arrays, sources, destinations = _message_passing_case(rng)
+        cotangent = rng.normal(size=(5, 4))
+        results = []
+        for message_passing in (basis_message_passing, unfused_message_passing):
+            inputs = [Tensor(array.copy(), requires_grad=True) for array in arrays]
+            out = message_passing(*inputs, sources, destinations)
+            (out * Tensor(cotangent)).sum().backward()
+            results.append([out.data] + [tensor.grad for tensor in inputs])
+        fused, unfused = results
+        assert fused[0].shape == (5, 4)
+        np.testing.assert_array_equal(fused[0][0], np.zeros(4))  # no in-edges
+        for name, got, expected in zip(("out", "features", "basis", "coefficients"),
+                                       fused, unfused):
+            np.testing.assert_array_equal(got, expected, err_msg=name)
 
-    def test_basis_sum_gradcheck(self, rng):
-        values = rng.normal(size=(5, 3, 4))
-        weights = rng.normal(size=(5, 3))
-        check_gradient(lambda t: (basis_sum(t, Tensor(weights)) ** 2).sum(), values)
-        check_gradient(lambda t: (basis_sum(Tensor(values), t) ** 2).sum(), weights)
+    def test_basis_message_passing_gradcheck(self, rng):
+        """Finite differences for node features, basis and coefficients."""
+        *arrays, sources, destinations = _message_passing_case(rng)
+        for argument in range(len(arrays)):
+            def build(tensor: Tensor) -> Tensor:
+                inputs = [Tensor(array) for array in arrays]
+                inputs[argument] = tensor
+                return (basis_message_passing(*inputs, sources, destinations) ** 2).sum()
+
+            check_gradient(build, arrays[argument])
+
+    def test_basis_message_passing_zero_edges(self, rng):
+        features = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        basis_matrix = Tensor(rng.normal(size=(2, 2 * 4)), requires_grad=True)
+        coefficients = Tensor(np.zeros((0, 2)), requires_grad=True)
+        empty = np.zeros(0, dtype=np.int64)
+        out = basis_message_passing(features, basis_matrix, coefficients, empty, empty)
+        np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
+        out.sum().backward()
+        np.testing.assert_array_equal(features.grad, np.zeros((3, 2)))
+        np.testing.assert_array_equal(basis_matrix.grad, np.zeros((2, 8)))
+        assert coefficients.grad.shape == (0, 2)
+
+    def test_one_edge_graph_messages_do_not_depend_on_batching(self, rng):
+        """The node projects nodes, not edges, so a one-edge graph never takes
+        numpy's one-row matmul path: alone or in a block-diagonal union with
+        another graph, its rows come out the same bits."""
+        basis_matrix = Tensor(rng.normal(size=(32, 4 * 32)))
+        features, coefficients = rng.normal(size=(2 + 5, 32)), rng.normal(size=(4, 4))
+        sources, destinations = np.array([0, 2, 3, 6]), np.array([1, 4, 4, 5])
+        alone = basis_message_passing(Tensor(features[:2]), basis_matrix,
+                                      Tensor(coefficients[:1]), sources[:1], destinations[:1])
+        union = basis_message_passing(Tensor(features), basis_matrix, Tensor(coefficients),
+                                      sources, destinations)
+        np.testing.assert_array_equal(union.data[:2], alone.data)
+
+    def test_basis_message_passing_rejects_bad_edges(self, rng):
+        *arrays, sources, destinations = _message_passing_case(rng)
+        inputs = [Tensor(array) for array in arrays]
+        with pytest.raises(IndexError):
+            basis_message_passing(*inputs, sources, np.where(destinations == 4, 5, destinations))
+        with pytest.raises(IndexError):
+            basis_message_passing(*inputs, sources - 1, destinations)
+        with pytest.raises(ValueError):
+            basis_message_passing(*inputs, sources[:-1], destinations[:-1])
 
 
 class TestAggregateEquivalence:
@@ -143,14 +232,17 @@ class TestAggregateEquivalence:
         assert messages.grad.shape == (0, 3)
 
     def test_rgcn_basis_messages_match_dense_weights(self, rng):
-        """edge_messages (basis GEMMs) must equal x_src @ relation_weights."""
+        """edge_messages (basis GEMMs) must equal summed x_src @ relation_weights."""
         layer = RGCNLayer(6, 4, num_relations=3, num_bases=2,
                           rng=np.random.default_rng(0))
         relations = rng.integers(0, 3, 11)
-        source_features = Tensor(rng.normal(size=(11, 6)))
-        fast = layer.edge_messages(source_features, relations, Tensor(np.ones((11, 1))))
+        sources, destinations = rng.integers(0, 7, 11), rng.integers(0, 7, 11)
+        features = Tensor(rng.normal(size=(7, 6)))
+        fast = layer.edge_messages(features, sources, relations, destinations,
+                                   Tensor(np.ones((11, 1))))
         weights = layer.relation_weights(relations)
-        reference = (source_features.reshape(11, 6, 1) * weights).sum(axis=1)
+        messages = (features.gather_rows(sources).reshape(11, 6, 1) * weights).sum(axis=1)
+        reference = aggregate_messages(messages, destinations, 7)
         np.testing.assert_allclose(fast.data, reference.data, atol=1e-10)
 
 
