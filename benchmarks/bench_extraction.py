@@ -16,9 +16,9 @@ policy-driven :class:`~repro.subgraph.provider.SubgraphProvider`:
   first, measuring the pure cache-hit path.
 
 Every batched extraction is compared against its per-pair counterpart —
-nodes, node indexing, labels, features, induced edges — so the benchmark is
-**equivalence-gated**: it cannot report a speedup for a path that returns
-different subgraphs.  Results are printed and appended to
+nodes, labels, features, endpoint rows, induced edges, dtypes included — so
+the benchmark is **equivalence-gated**: it cannot report a speedup for a
+path that returns different subgraphs.  Results are printed and appended to
 ``BENCH_extraction.json`` (override with ``REPRO_BENCH_EXTRACTION_JSON``).
 The >= 1.5x cold-batch floor at the default size can be disabled on
 contended runners with ``REPRO_BENCH_EXTRACTION_GATE=off``; the equivalence
@@ -83,12 +83,14 @@ def _workload(graph: KnowledgeGraph, seed: int = 1) -> List[Triple]:
 
 
 def _assert_equivalent(batched, per_pair, context: str) -> None:
-    assert batched.nodes == per_pair.nodes, context
-    assert batched.node_index == per_pair.node_index, context
-    assert batched.labels == per_pair.labels, context
-    np.testing.assert_array_equal(batched.node_features, per_pair.node_features,
-                                  err_msg=context)
-    np.testing.assert_array_equal(batched.edges, per_pair.edges, err_msg=context)
+    assert batched.target == per_pair.target, context
+    assert batched.hops == per_pair.hops, context
+    # strict=True: equal shapes and dtypes as well as equal values.
+    for name in ("nodes", "node_labels", "edges", "node_features",
+                 "head_row", "tail_row"):
+        np.testing.assert_array_equal(getattr(batched, name),
+                                      getattr(per_pair, name), strict=True,
+                                      err_msg=f"{name}: {context}")
 
 
 def _time_per_pair(graph: KnowledgeGraph, targets: List[Triple]) -> float:

@@ -104,7 +104,9 @@ def _seed_shortest_paths(graph, source, targets, max_distance, forbidden=None):
     return distances
 
 
-def _seed_collect_edges(graph, nodes, node_index, target=None):
+def _seed_collect_edges(graph, nodes, target=None):
+    nodes = nodes.tolist()
+    node_index = {node: position for position, node in enumerate(nodes)}
     edge_rows = []
     node_set = set(nodes)
     for node in nodes:

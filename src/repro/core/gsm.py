@@ -25,6 +25,7 @@ from repro.gnn.pooling import segment_mean_pool
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.subgraph.extraction import ExtractedSubgraph, extract_enclosing_subgraph
+from repro.subgraph.labeling import node_label_features
 
 
 class GSM(Module):
@@ -139,13 +140,17 @@ class GSM(Module):
         offsets = np.zeros(num_graphs + 1, dtype=np.int64)
         np.cumsum(node_counts, out=offsets[1:])
 
-        features = np.concatenate([subgraph.node_features for subgraph in subgraphs], axis=0)
+        # One one-hot pass over the union's labels: row for row the
+        # concatenation of every block's node_features.
+        features = node_label_features(
+            np.concatenate([subgraph.node_labels for subgraph in subgraphs]), self.hops)
         need_keys = self.encoder.needs_edge_keys
         blocks = []
         key_blocks = []
         for subgraph, edges, offset in zip(subgraphs, edges_list, offsets[:-1]):
             if len(edges):
-                shifted = edges.copy()
+                # Widened to int64 in the copy the shift needs anyway.
+                shifted = edges.astype(np.int64)
                 shifted[:, 0] += offset
                 shifted[:, 2] += offset
                 blocks.append(shifted)
@@ -164,8 +169,10 @@ class GSM(Module):
         nodes = self.encoder.forward_features(Tensor(features), union_edges,
                                               edge_identity=union_keys)
         graph_vectors = segment_mean_pool(nodes, graph_ids, num_graphs)
-        head_rows = offsets[:-1] + np.array([s.head_index() for s in subgraphs], dtype=np.int64)
-        tail_rows = offsets[:-1] + np.array([s.tail_index() for s in subgraphs], dtype=np.int64)
+        head_rows = offsets[:-1] + np.fromiter((s.head_row for s in subgraphs),
+                                               np.int64, num_graphs)
+        tail_rows = offsets[:-1] + np.fromiter((s.tail_row for s in subgraphs),
+                                               np.int64, num_graphs)
         head_vectors = nodes.gather_rows(head_rows)
         tail_vectors = nodes.gather_rows(tail_rows)
         relation_vectors = self.relation_topological.gather_rows(

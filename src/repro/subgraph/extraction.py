@@ -6,12 +6,21 @@ only the intersection; the improved GSM keeps the union so that one-sided
 nodes survive).  For a *bridging* link the two neighborhoods are disjoint and
 the extraction naturally yields two disconnected components — exactly the
 situation the improved node labeling is designed to handle.
+
+An extraction is array-backed (:class:`ExtractedSubgraph`): ascending int64
+global ``nodes`` (a node's position is its local row), ``(n, 2)`` int8
+double-radius ``node_labels``, ``(E, 3)`` int32 local ``edges``, and the
+head/tail rows.  One-hot ``node_features`` are derived from the labels on
+use.  :func:`extract_enclosing_subgraph` is the per-pair reference; the
+batched :func:`~repro.subgraph.provider.extract_batch` returns the same
+arrays as slices (views) of its batch arrays, which keep the whole batch's
+arrays alive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.backend import hxp as np  # host-side index math via the backend seam
 
@@ -20,38 +29,60 @@ from repro.kg.triple import Triple
 from repro.subgraph.labeling import label_nodes, node_label_features
 from repro.subgraph.neighborhood import k_hop_neighborhood, shortest_path_lengths
 
+#: ``node_labels`` is int8, so a hop budget must stay below int8's maximum.
+MAX_HOPS = 126
 
-@dataclass
+
+@dataclass(slots=True)
 class ExtractedSubgraph:
-    """The materialized subgraph around one target link, ready for the GNN."""
+    """The materialized subgraph around one target link, ready for the GNN.
+
+    Array-backed: besides ``target`` it holds three arrays and three ints.
+    From :func:`~repro.subgraph.provider.extract_batch` the arrays are
+    slices (views) of that batch's arrays, so a cached extraction keeps
+    its whole batch's arrays alive until every extraction of the batch is
+    gone.
+    """
 
     target: Triple
-    nodes: List[int]
-    """Global entity ids of the retained nodes (sorted)."""
-    node_index: Dict[int, int]
-    """Global id → local row index."""
-    node_features: np.ndarray
-    """``(n_nodes, 2 * (hops + 1))`` one-hot double-radius features."""
+    nodes: np.ndarray
+    """``(n,)`` int64 global entity ids of the retained nodes, ascending;
+    a node's position is its local row."""
+    node_labels: np.ndarray
+    """``(n, 2)`` int8 double-radius labels ``(d(i, u), d(j, u))`` per row,
+    ``UNREACHABLE`` (-1) for an out-of-range distance."""
     edges: np.ndarray
-    """``(n_edges, 3)`` array of (local_head, relation, local_tail)."""
-    labels: Dict[int, Tuple[int, int]]
-    """Raw double-radius labels keyed by global id."""
+    """``(n_edges, 3)`` int32 array of (local_head, relation, local_tail)."""
+    head_row: int
+    """Local row of the target link's head entity."""
+    tail_row: int
+    """Local row of the target link's tail entity."""
+    hops: int
+    """Neighborhood radius the labels were computed with."""
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return int(self.nodes.shape[0])
 
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
+    @property
+    def node_features(self) -> np.ndarray:
+        """``(n_nodes, 2 * (hops + 1))`` float64 one-hot double-radius features.
+
+        Derived from ``node_labels`` on every access; nothing float is stored.
+        """
+        return node_label_features(self.node_labels, self.hops)
+
     def head_index(self) -> int:
         """Local index of the target link's head entity."""
-        return self.node_index[self.target.head]
+        return self.head_row
 
     def tail_index(self) -> int:
         """Local index of the target link's tail entity."""
-        return self.node_index[self.target.tail]
+        return self.tail_row
 
     def is_disconnected(self) -> bool:
         """True when no path connects head and tail inside the subgraph (bridging case)."""
@@ -75,35 +106,56 @@ class ExtractedSubgraph:
         return True
 
 
-def collect_induced_edges(graph: KnowledgeGraph, nodes: List[int],
-                          node_index: Dict[int, int],
+def check_hops(hops: int) -> None:
+    """Reject a hop budget whose distances the int8 ``node_labels`` cannot hold."""
+    if hops > MAX_HOPS:
+        raise ValueError(f"hops must be <= {MAX_HOPS} (int8 node labels), got {hops}")
+
+
+def label_arrays(labels: Dict[int, Tuple[int, int]], head: int, tail: int
+                 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """A label dict as ``(nodes, node_labels, head_row, tail_row)`` arrays.
+
+    Rows follow ascending global id; ``labels`` always holds both endpoints.
+    """
+    ordered = sorted(labels)
+    nodes = np.array(ordered, dtype=np.int64)
+    node_labels = np.array([labels[node] for node in ordered],
+                           dtype=np.int8).reshape(-1, 2)
+    return (nodes, node_labels, int(np.searchsorted(nodes, head)),
+            int(np.searchsorted(nodes, tail)))
+
+
+def collect_induced_edges(graph: KnowledgeGraph, nodes: np.ndarray,
                           target: Optional[Triple] = None) -> np.ndarray:
     """Edges of the subgraph induced on ``nodes``, re-indexed to local ids.
 
-    Gathers the out-edge CSR slices of every retained node in one vectorized
-    pass and keeps the edges whose tail is also retained; the ``target`` link
-    itself (if present in the graph) is dropped.  Edge order matches the
-    historical per-node iteration: ascending head id, insertion order within
-    one head.  The global→local index map is borrowed from the snapshot's
-    scratch pool and reset output-sensitively.
+    ``nodes`` holds the retained global ids in ascending order; a node's
+    position is its local index.  Gathers the out-edge CSR slices of every
+    retained node in one vectorized pass and keeps the edges whose tail is
+    also retained; the ``target`` link itself (if present in the graph) is
+    dropped.  Edge order matches the historical per-node iteration:
+    ascending head id, insertion order within one head.  Returns an
+    ``(E, 3)`` int32 array.  The global→local index map is borrowed from
+    the snapshot's scratch pool and reset output-sensitively.
     """
-    if not nodes:
-        return np.zeros((0, 3), dtype=np.int64)
     adjacency = graph.adjacency()
-    nodes_arr = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+    nodes_arr = np.asarray(nodes, dtype=np.int64)
     scratch = adjacency.scratch()
     local = scratch.borrow_index_map()
     try:
-        local[nodes_arr] = np.array([node_index[int(n)] for n in nodes_arr], dtype=np.int64)
+        local[nodes_arr] = np.arange(nodes_arr.shape[0], dtype=np.int64)
         heads, relations, tails = adjacency.out_edges_of_many(nodes_arr)
         keep = local[tails] >= 0
         if target is not None:
             keep &= ~((heads == target.head)
                       & (relations == target.relation)
                       & (tails == target.tail))
-        if not keep.any():
-            return np.zeros((0, 3), dtype=np.int64)
-        return np.column_stack([local[heads[keep]], relations[keep], local[tails[keep]]])
+        edges = np.empty((int(np.count_nonzero(keep)), 3), dtype=np.int32)
+        edges[:, 0] = local[heads[keep]]
+        edges[:, 1] = relations[keep]
+        edges[:, 2] = local[tails[keep]]
+        return edges
     finally:
         scratch.release_index_map(local, [nodes_arr])
 
@@ -167,6 +219,7 @@ def extract_enclosing_subgraph(graph: KnowledgeGraph, target: Triple, hops: int 
         ``(head, tail)`` pair and re-score it under many candidate relations
         pass ``False`` and mask the matching edge per candidate instead.
     """
+    check_hops(hops)
     head, tail = target.head, target.tail
     head_region = k_hop_neighborhood(graph, head, hops)
     tail_region = k_hop_neighborhood(graph, tail, hops)
@@ -181,16 +234,9 @@ def extract_enclosing_subgraph(graph: KnowledgeGraph, target: Triple, hops: int 
                          head, tail, hops, improved=improved_labeling)
     labels = _cap_labels(graph, labels, head, tail, max_nodes)
 
-    features, node_index = node_label_features(labels, hops)
-    nodes = sorted(labels)
-    edges = collect_induced_edges(graph, nodes, node_index,
+    nodes, node_labels, head_row, tail_row = label_arrays(labels, head, tail)
+    edges = collect_induced_edges(graph, nodes,
                                   target if omit_target_edge else None)
-
-    return ExtractedSubgraph(
-        target=target,
-        nodes=nodes,
-        node_index=node_index,
-        node_features=features,
-        edges=edges,
-        labels=labels,
-    )
+    return ExtractedSubgraph(target=target, nodes=nodes, node_labels=node_labels,
+                             edges=edges, head_row=head_row, tail_row=tail_row,
+                             hops=hops)

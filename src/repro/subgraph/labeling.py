@@ -11,6 +11,12 @@ improved labeling (GSM, §IV-C2) instead *keeps* those nodes and replaces the
 out-of-range distance with the sentinel ``UNREACHABLE`` (= -1), whose one-hot
 encoding is the all-zero vector.  That is what allows GSM to encode the two
 disconnected subgraphs around a bridging link.
+
+An extraction stores its labels as an ``(n, 2)`` int8 array, one row per
+node in ascending global-id order (hence the ``hops`` ceiling the
+extractors enforce); :func:`node_label_features` turns such an array into
+float64 one-hot rows.  Batched extractions hold views of one batch-wide
+label array, which keeps that array alive while any of them is cached.
 """
 
 from __future__ import annotations
@@ -56,23 +62,22 @@ def label_nodes(distances_to_head: Dict[int, int], distances_to_tail: Dict[int, 
     return labels
 
 
-def node_label_features(labels: Dict[int, Tuple[int, int]], hops: int) -> Tuple[np.ndarray, Dict[int, int]]:
-    """Encode labels as concatenated one-hot vectors.
+def node_label_features(node_labels: np.ndarray, hops: int) -> np.ndarray:
+    """Encode ``(n, 2)`` double-radius labels as concatenated one-hot rows.
 
-    Returns ``(features, index)`` where ``features[index[node]]`` is the
-    ``2 * (hops + 1)``-dimensional input feature of ``node``:
-    ``one_hot(d(i, u)) ⊕ one_hot(d(j, u))``.  The ``UNREACHABLE`` sentinel maps
-    to an all-zero one-hot block, per the paper.
+    Row ``u`` of the returned ``(n, 2 * (hops + 1))`` float64 matrix is
+    ``one_hot(d(i, u)) ⊕ one_hot(d(j, u))``; the ``UNREACHABLE`` sentinel
+    maps to an all-zero block, per the paper, and distances beyond ``hops``
+    clip to the last slot.  Rows follow the label rows, so an extraction's
+    features line up with its sorted ``nodes``.  This is the only
+    label→feature encoder: an extraction's ``node_features`` and the
+    block-diagonal union that ``GSM.score_batch`` builds both come from it.
     """
+    labels = np.asarray(node_labels)
     dim = hops + 1
-    ordered = sorted(labels)
-    index = {node: position for position, node in enumerate(ordered)}
-    features = np.zeros((len(ordered), 2 * dim), dtype=np.float64)
-    for node in ordered:
-        d_head, d_tail = labels[node]
-        row = index[node]
-        if d_head != UNREACHABLE:
-            features[row, min(d_head, dim - 1)] = 1.0
-        if d_tail != UNREACHABLE:
-            features[row, dim + min(d_tail, dim - 1)] = 1.0
-    return features, index
+    # Row 0 of the table is the all-zero UNREACHABLE block and row d + 1 is
+    # one_hot(d); mode="clip" sends a distance beyond hops to one_hot(hops).
+    # One gather of both label columns fills each output row's two blocks.
+    one_hot = np.eye(dim + 1, dim, k=-1)
+    return one_hot.take(labels + 1, axis=0, mode="clip").reshape(
+        labels.shape[0], 2 * dim)

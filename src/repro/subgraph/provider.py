@@ -10,15 +10,22 @@ workers).  It contributes two things on top of
   Per-source visited state lives in stacked boolean masks borrowed from the
   snapshot's :class:`~repro.kg.graph.TraversalScratch` pool, every hop of
   every traversal in the batch advances in a handful of numpy operations,
-  and candidate sets, double-radius labels, one-hot features
-  (:func:`_assemble_labels_batch`) and the induced edges of all subgraphs
-  are likewise assembled in vectorized passes over flat
-  ``pair * num_nodes + node`` keys.  The result is **bit-identical** to
-  running the per-pair extractor on each target (same node sets, same
-  induced edges, same labels): candidates emerge in the per-pair path's
-  sorted-node order, and any pair the ``max_nodes`` cap touches falls back
-  to the original set/dict assembly (:func:`_assemble_pair_labels`), whose
-  insertion order the cap's stable degree sort ties break on.
+  and candidate sets, double-radius labels (:func:`_assemble_labels_batch`)
+  and the induced edges of all subgraphs are likewise assembled in
+  vectorized passes over flat ``pair * num_nodes + node`` keys.  The result
+  is **bit-identical** to running the per-pair extractor on each target
+  (same node arrays, labels, endpoint rows and induced edges, same dtypes):
+  candidates emerge in the per-pair path's sorted-node order, and any pair
+  the ``max_nodes`` cap touches falls back to the original set/dict
+  assembly (:func:`_assemble_pair_labels`), whose insertion order the cap's
+  stable degree sort ties break on.
+
+  Each returned :class:`~repro.subgraph.extraction.ExtractedSubgraph`
+  holds int64 ``nodes``, ``(n, 2)`` int8 ``node_labels``, ``(E, 3)`` int32
+  ``edges`` and its head/tail rows.  The three arrays are slices (views) of
+  one batch array each, so a cached extraction keeps its batch's arrays
+  alive until the last extraction of that batch is evicted.  One-hot
+  features are derived from the labels on use, never stored.
 
 * :class:`SubgraphProvider` — extraction caching behind pluggable
   **cache policies** (plain LRU, an adaptively-sized LRU that grows when
@@ -43,10 +50,9 @@ from repro.backend import hxp as np  # host-side index math via the backend seam
 from repro.kg.graph import CSRAdjacency, KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.subgraph.extraction import (ExtractedSubgraph, _cap_labels,
-                                       _region_candidates,
-                                       extract_enclosing_subgraph)
-from repro.subgraph.labeling import (UNREACHABLE, label_nodes,
-                                     node_label_features)
+                                       _region_candidates, check_hops,
+                                       extract_enclosing_subgraph, label_arrays)
+from repro.subgraph.labeling import UNREACHABLE, label_nodes
 
 #: Cache key of one relation-agnostic extraction: the (head, tail) pair.
 PairKey = Tuple[int, int]
@@ -166,15 +172,15 @@ def _assemble_pair_labels(graph: KnowledgeGraph, head: int, tail: int,
                           head_distance_levels: List[np.ndarray],
                           tail_distance_levels: List[np.ndarray],
                           hops: int, improved_labeling: bool, max_nodes: int
-                          ) -> Tuple[Dict[int, Tuple[int, int]], List[int],
-                                     np.ndarray, Dict[int, int]]:
+                          ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One pair's label assembly through the original dict/set machinery.
 
     Kept as the reference path: :func:`_assemble_labels_batch` falls back to
     it whenever the ``max_nodes`` cap triggers (the cap's stable degree sort
     breaks ties on Python *set iteration order*, which has no array
     equivalent), and the equivalence tests pit the two implementations
-    against each other.
+    against each other.  Returns ``(nodes, node_labels, head_row,
+    tail_row)`` like the per-pair extractor.
     """
     head_region = _region_set(head, head_region_levels)
     tail_region = _region_set(tail, tail_region_levels)
@@ -186,8 +192,7 @@ def _assemble_pair_labels(graph: KnowledgeGraph, head: int, tail: int,
                          candidate_nodes, head, tail, hops,
                          improved=improved_labeling)
     labels = _cap_labels(graph, labels, head, tail, max_nodes)
-    features, node_index = node_label_features(labels, hops)
-    return labels, sorted(labels), features, node_index
+    return label_arrays(labels, head, tail)
 
 
 def _assemble_all_pairs_legacy(graph: KnowledgeGraph, heads: np.ndarray,
@@ -212,26 +217,26 @@ def _assemble_labels_batch(graph: KnowledgeGraph, heads: np.ndarray,
                            region_levels: List[Tuple[np.ndarray, np.ndarray]],
                            distance_levels: List[Tuple[np.ndarray, np.ndarray]],
                            hops: int, improved_labeling: bool, max_nodes: int
-                           ) -> Tuple[List[Dict[int, Tuple[int, int]]],
-                                      List[List[int]], List[np.ndarray],
-                                      List[Dict[int, int]]]:
-    """Vectorized candidate/label/feature assembly for the whole batch.
+                           ) -> Tuple[List[np.ndarray], List[np.ndarray],
+                                      List[int], List[int]]:
+    """Vectorized candidate/label assembly for the whole batch.
 
     Replaces the per-pair ``_region_set`` / ``_distance_dict`` /
     ``label_nodes`` dict machinery with flat ``pair * num_nodes + node`` key
     arrays: candidate sets come out of one ``np.unique`` over the stacked
     region levels (improved labeling) or one ``np.intersect1d`` of the
-    per-endpoint key sets (GraIL), BFS distances are two gathers from a
+    per-endpoint key sets (GraIL), and BFS distances are two gathers from a
     borrowed scratch matrix whose ``-1`` fill doubles as the ``UNREACHABLE``
-    sentinel, and the one-hot features of every pair are scattered in one
-    pass.  Candidates emerge sorted by (pair, node) — exactly the
-    ``sorted(labels)`` node order of the per-pair path — so nodes, indices,
-    features, labels, and downstream induced edges are all bit-identical.
+    sentinel.  Candidates emerge sorted by (pair, node) — exactly the
+    ascending node order of the per-pair path — so nodes, labels, endpoint
+    rows and downstream induced edges are all bit-identical.
 
-    A pair whose label count exceeds ``max_nodes`` falls back to
-    :func:`_assemble_pair_labels`: only the original set-based assembly
-    reproduces the insertion order that the cap's stable degree sort breaks
-    ties on.
+    Returns per-pair ``nodes`` (int64) and ``node_labels`` (``(n, 2)``
+    int8), which are slices (views) of one batch array each, plus each
+    pair's head and tail rows.  A pair whose label count exceeds
+    ``max_nodes`` falls back to :func:`_assemble_pair_labels`: only the
+    original set-based assembly reproduces the insertion order that the
+    cap's stable degree sort breaks ties on.
     """
     adjacency = graph.adjacency()
     num_targets = int(heads.shape[0])
@@ -296,90 +301,77 @@ def _assemble_labels_batch(graph: KnowledgeGraph, heads: np.ndarray,
     # overwrites, so a head == tail self-loop ends up labeled (0, 1).
     is_head = cand_nodes == heads[cand_pairs]
     is_tail = cand_nodes == tails[cand_pairs]
-    label_head = distance_to_head.copy()
-    label_tail = distance_to_tail.copy()
-    label_head[is_tail] = 1
-    label_tail[is_tail] = 0
-    label_head[is_head] = 0
-    label_tail[is_head] = 1
     if not improved_labeling:
         keep = (((distance_to_head != UNREACHABLE)
                  & (distance_to_tail != UNREACHABLE))
                 | is_head | is_tail)
         cand_pairs, cand_nodes = cand_pairs[keep], cand_nodes[keep]
-        label_head, label_tail = label_head[keep], label_tail[keep]
+        distance_to_head, distance_to_tail = distance_to_head[keep], distance_to_tail[keep]
+        is_head, is_tail = is_head[keep], is_tail[keep]
+    labels_all = np.empty((cand_nodes.shape[0], 2), dtype=np.int8)
+    labels_all[:, 0] = distance_to_head
+    labels_all[:, 1] = distance_to_tail
+    labels_all[is_tail] = (1, 0)
+    labels_all[is_head] = (0, 1)
 
-    # One-hot double-radius features of the whole batch in one scatter.
-    dim = hops + 1
-    total = int(cand_nodes.shape[0])
-    feature_rows = np.arange(total, dtype=np.int64)
-    features_all = np.zeros((total, 2 * dim), dtype=np.float64)
-    head_hot = label_head != UNREACHABLE
-    features_all[feature_rows[head_hot],
-                 np.minimum(label_head[head_hot], dim - 1)] = 1.0
-    tail_hot = label_tail != UNREACHABLE
-    features_all[feature_rows[tail_hot],
-                 dim + np.minimum(label_tail[tail_hot], dim - 1)] = 1.0
-
+    # Every pair holds exactly one head and one tail candidate (the
+    # endpoint keys are always candidates), so their positions, in pair
+    # order, less each pair's first position are the local rows.
     bounds = np.searchsorted(cand_pairs, np.arange(num_targets + 1, dtype=np.int64))
-    labels_list: List[Dict[int, Tuple[int, int]]] = []
-    nodes_lists: List[List[int]] = []
-    features_list: List[np.ndarray] = []
-    index_list: List[Dict[int, int]] = []
+    starts = bounds[:-1]
+    head_rows = (np.flatnonzero(is_head) - starts).tolist()
+    tail_rows = (np.flatnonzero(is_tail) - starts).tolist()
+    bounds = bounds.tolist()
+    nodes_list: List[np.ndarray] = []
+    labels_list: List[np.ndarray] = []
     fallback_region = fallback_distance = None
     for pair in range(num_targets):
-        lo, hi = int(bounds[pair]), int(bounds[pair + 1])
+        lo, hi = bounds[pair], bounds[pair + 1]
         if hi - lo > max_nodes:
             if fallback_region is None:
                 fallback_region = _per_source_levels(region_levels, 2 * num_targets)
                 fallback_distance = _per_source_levels(distance_levels, 2 * num_targets)
-            labels, nodes, features, node_index = _assemble_pair_labels(
+            nodes, labels, head_rows[pair], tail_rows[pair] = _assemble_pair_labels(
                 graph, int(heads[pair]), int(tails[pair]),
                 fallback_region[2 * pair], fallback_region[2 * pair + 1],
                 fallback_distance[2 * pair], fallback_distance[2 * pair + 1],
                 hops, improved_labeling, max_nodes)
         else:
-            nodes = cand_nodes[lo:hi].tolist()
-            labels = dict(zip(nodes, zip(label_head[lo:hi].tolist(),
-                                         label_tail[lo:hi].tolist())))
-            features = features_all[lo:hi]
-            node_index = {node: position for position, node in enumerate(nodes)}
+            nodes, labels = cand_nodes[lo:hi], labels_all[lo:hi]
+        nodes_list.append(nodes)
         labels_list.append(labels)
-        nodes_lists.append(nodes)
-        features_list.append(features)
-        index_list.append(node_index)
-    return labels_list, nodes_lists, features_list, index_list
+    return nodes_list, labels_list, head_rows, tail_rows
 
 
 # --------------------------------------------------------------------- #
 # batched induced-edge collection
 # --------------------------------------------------------------------- #
 def _collect_induced_edges_batch(graph: KnowledgeGraph,
-                                 nodes_lists: Sequence[List[int]],
+                                 nodes_list: Sequence[np.ndarray],
                                  targets: Optional[Sequence[Triple]]
                                  ) -> List[np.ndarray]:
     """Induced edges of every subgraph in one vectorized CSR pass.
 
-    ``nodes_lists[b]`` holds subgraph ``b``'s retained global node ids in
+    ``nodes_list[b]`` holds subgraph ``b``'s retained global node ids in
     ascending order (their positions are the local indices).  When
     ``targets`` is given, each subgraph's own target link is dropped, exactly
     like the per-pair :func:`~repro.subgraph.extraction.collect_induced_edges`.
+    Each subgraph's ``(E, 3)`` int32 edges are a slice (view) of one batch
+    array.
     """
     adjacency = graph.adjacency()
     num_graph_nodes = adjacency.num_nodes
-    num_subgraphs = len(nodes_lists)
-    counts = np.fromiter((len(nodes) for nodes in nodes_lists),
+    num_subgraphs = len(nodes_list)
+    counts = np.fromiter((nodes.shape[0] for nodes in nodes_list),
                          dtype=np.int64, count=num_subgraphs)
-    empty_edges = np.zeros((0, 3), dtype=np.int64)
-    if counts.sum() == 0:
-        return [empty_edges] * num_subgraphs
-    all_nodes = np.concatenate([
-        np.asarray(nodes, dtype=np.int64) if nodes else _EMPTY
-        for nodes in nodes_lists
-    ])
+    total = int(counts.sum())
+    if total == 0:
+        return [np.zeros((0, 3), dtype=np.int32)] * num_subgraphs
+    all_nodes = np.concatenate(nodes_list)
     pair_of_node = np.repeat(np.arange(num_subgraphs, dtype=np.int64), counts)
-    local_values = np.concatenate([np.arange(count, dtype=np.int64)
-                                   for count in counts if count])
+    node_starts = np.zeros(num_subgraphs, dtype=np.int64)
+    np.cumsum(counts[:-1], out=node_starts[1:])
+    local_values = np.arange(total, dtype=np.int64) - np.repeat(node_starts, counts)
 
     scratch = adjacency.scratch()
     local = scratch.borrow_index_matrix(num_subgraphs)
@@ -400,16 +392,14 @@ def _collect_induced_edges_batch(graph: KnowledgeGraph,
                       & (relations == target_relations[edge_pair])
                       & (tails == target_tails[edge_pair]))
         kept_pair = edge_pair[keep]
-        stacked = np.column_stack([
-            local_flat[kept_pair * num_graph_nodes + heads[keep]],
-            relations[keep],
-            local_tails[keep],
-        ])
-        per_pair = np.bincount(kept_pair, minlength=num_subgraphs)
+        stacked = np.empty((kept_pair.shape[0], 3), dtype=np.int32)
+        stacked[:, 0] = local_flat[kept_pair * num_graph_nodes + heads[keep]]
+        stacked[:, 1] = relations[keep]
+        stacked[:, 2] = local_tails[keep]
         bounds = np.zeros(num_subgraphs + 1, dtype=np.int64)
-        np.cumsum(per_pair, out=bounds[1:])
-        return [stacked[bounds[b]:bounds[b + 1]] if per_pair[b] else empty_edges
-                for b in range(num_subgraphs)]
+        np.cumsum(np.bincount(kept_pair, minlength=num_subgraphs), out=bounds[1:])
+        bounds = bounds.tolist()
+        return [stacked[bounds[b]:bounds[b + 1]] for b in range(num_subgraphs)]
     finally:
         scratch.release_index_matrix(local, [flat_index])
 
@@ -424,15 +414,17 @@ def extract_batch(graph: KnowledgeGraph, targets: Sequence[Triple],
     """Extract the subgraphs around many target links in one batched sweep.
 
     Semantically ``[extract_enclosing_subgraph(graph, t, ...) for t in
-    targets]``, and bit-identical to it (nodes, induced edges, labels,
-    features) — but the four BFS traversals every pair needs (two k-hop
-    regions, two double-radius distance maps) run as two stacked
-    multi-source sweeps over the whole batch, candidate sets / labels /
-    one-hot features are assembled in vectorized passes over flat
-    ``pair * num_nodes + node`` keys, and the induced edges of all
-    subgraphs are gathered in one vectorized CSR pass, so the Python/numpy
-    per-call overhead is paid once per batch instead of once per pair.
+    targets]``, and bit-identical to it (nodes, labels, endpoint rows,
+    induced edges, dtypes included) — but the four BFS traversals every
+    pair needs (two k-hop regions, two double-radius distance maps) run as
+    two stacked multi-source sweeps over the whole batch, candidate sets
+    and labels are assembled in vectorized passes over flat ``pair *
+    num_nodes + node`` keys, and the induced edges of all subgraphs are
+    gathered in one vectorized CSR pass, so the Python/numpy per-call
+    overhead is paid once per batch instead of once per pair.  Every
+    returned extraction's arrays are views into this batch's arrays.
     """
+    check_hops(hops)
     targets = list(targets)
     if not targets:
         return []
@@ -450,23 +442,19 @@ def extract_batch(graph: KnowledgeGraph, targets: Sequence[Triple],
 
     region_levels = _stacked_bfs(adjacency, sources, hops)
     distance_levels = _stacked_bfs(adjacency, sources, hops, blocked=partners)
-    labels_list, nodes_lists, features_list, index_list = _assemble_labels_batch(
+    nodes_list, labels_list, head_rows, tail_rows = _assemble_labels_batch(
         graph, heads, tails, region_levels, distance_levels,
         hops, improved_labeling, max_nodes)
 
     edges_list = _collect_induced_edges_batch(
-        graph, nodes_lists, targets if omit_target_edge else None)
+        graph, nodes_list, targets if omit_target_edge else None)
 
     return [
-        ExtractedSubgraph(
-            target=target,
-            nodes=nodes_lists[index],
-            node_index=index_list[index],
-            node_features=features_list[index],
-            edges=edges_list[index],
-            labels=labels_list[index],
-        )
-        for index, target in enumerate(targets)
+        ExtractedSubgraph(target=target, nodes=nodes, node_labels=labels,
+                          edges=edges, head_row=head_row, tail_row=tail_row,
+                          hops=hops)
+        for target, nodes, labels, edges, head_row, tail_row in zip(
+            targets, nodes_list, labels_list, edges_list, head_rows, tail_rows)
     ]
 
 
@@ -478,14 +466,13 @@ def masked_edges(graph: KnowledgeGraph, subgraph: ExtractedSubgraph,
     consumers call this per candidate to drop the matching edge — exactly
     what target-aware extraction (``omit_target_edge=True``) would have
     omitted, so scoring a cached extraction equals scoring a fresh one.
+    ``subgraph`` must be the ``(triple.head, triple.tail)`` extraction.
     """
     edges = subgraph.edges
     if graph.contains(triple.head, triple.relation, triple.tail):
-        head_local = subgraph.node_index[triple.head]
-        tail_local = subgraph.node_index[triple.tail]
-        keep = ~((edges[:, 0] == head_local)
+        keep = ~((edges[:, 0] == subgraph.head_row)
                  & (edges[:, 1] == triple.relation)
-                 & (edges[:, 2] == tail_local))
+                 & (edges[:, 2] == subgraph.tail_row))
         edges = edges[keep]
     return edges
 
@@ -647,9 +634,9 @@ class SubgraphProvider:
     One provider owns the extraction hyper-parameters (``hops``,
     ``improved_labeling``, ``max_nodes``) and a cache policy instance per
     CSR snapshot it has served.  Misses are extracted through the
-    multi-source :func:`extract_batch` (``batched=True``, the default) or
-    the per-pair extractor (``batched=False``, kept for benchmarking); both
-    produce identical subgraphs.
+    multi-source :func:`extract_batch` (``batched=True``, the default; a
+    lone miss too) or the per-pair extractor (``batched=False``, kept for
+    benchmarking); both produce identical subgraphs.
 
     ``snapshots`` bounds how many per-snapshot stores are retained
     (most-recently-used order).  The default ``1`` keeps only the current
@@ -748,7 +735,7 @@ class SubgraphProvider:
         self.context_misses += misses
         if pending:
             missing_targets = [Triple(head, 0, tail) for head, tail in pending]
-            if self.batched and len(missing_targets) > 1:
+            if self.batched:
                 extracted = extract_batch(
                     graph, missing_targets, hops=self.hops,
                     improved_labeling=self.improved_labeling,

@@ -74,13 +74,14 @@ def test_improved_labeling_keeps_every_node(dist_head, dist_tail, hops):
                        min_size=1, max_size=10),
        st.integers(1, 5))
 def test_label_features_rows_are_at_most_two_hot(labels, hops):
-    features, index = node_label_features(labels, hops)
+    rows = np.array(list(labels.values()), dtype=np.int8)
+    features = node_label_features(rows, hops)
     assert features.shape == (len(labels), 2 * (hops + 1))
     sums = features.sum(axis=1)
     assert np.all(sums <= 2)
-    for node, (d_head, d_tail) in labels.items():
+    for row, (d_head, d_tail) in enumerate(labels.values()):
         expected = int(d_head != UNREACHABLE) + int(d_tail != UNREACHABLE)
-        assert features[index[node]].sum() == expected
+        assert features[row].sum() == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
-from repro.subgraph.extraction import extract_enclosing_subgraph
+from repro.subgraph.extraction import extract_enclosing_subgraph, label_arrays
 from repro.subgraph.labeling import UNREACHABLE, label_nodes, node_label_features
 from repro.subgraph.neighborhood import k_hop_neighborhood, shortest_path_lengths
 
@@ -82,21 +82,27 @@ class TestNodeLabeling:
         assert 2 not in labels
 
     def test_features_one_hot(self):
-        labels = {0: (0, 1), 1: (1, 0), 2: (2, UNREACHABLE)}
-        features, index = node_label_features(labels, hops=2)
-        assert features.shape == (3, 6)
-        np.testing.assert_array_equal(features[index[0]], [1, 0, 0, 0, 1, 0])
-        np.testing.assert_array_equal(features[index[2]], [0, 0, 1, 0, 0, 0])
+        labels = np.array([(0, 1), (1, 0), (2, UNREACHABLE)], dtype=np.int8)
+        features = node_label_features(labels, hops=2)
+        assert features.shape == (3, 6) and features.dtype == np.float64
+        np.testing.assert_array_equal(features[0], [1, 0, 0, 0, 1, 0])
+        np.testing.assert_array_equal(features[1], [0, 1, 0, 1, 0, 0])
+        np.testing.assert_array_equal(features[2], [0, 0, 1, 0, 0, 0])
 
     def test_unreachable_is_all_zero_block(self):
-        features, index = node_label_features({7: (UNREACHABLE, UNREACHABLE)}, hops=2)
-        np.testing.assert_array_equal(features[index[7]], np.zeros(6))
+        labels = np.array([(UNREACHABLE, UNREACHABLE)], dtype=np.int8)
+        features = node_label_features(labels, hops=2)
+        np.testing.assert_array_equal(features, np.zeros((1, 6)))
 
     def test_feature_rows_align_with_sorted_nodes(self):
         labels = {5: (1, 1), 2: (0, 1), 9: (1, 0)}
-        _, index = node_label_features(labels, hops=1)
-        assert list(index) == [2, 5, 9]
-        assert [index[n] for n in sorted(labels)] == [0, 1, 2]
+        nodes, node_labels, head_row, tail_row = label_arrays(labels, head=2, tail=9)
+        np.testing.assert_array_equal(nodes, np.array([2, 5, 9]), strict=True)
+        np.testing.assert_array_equal(
+            node_labels, np.array([(0, 1), (1, 1), (1, 0)], dtype=np.int8), strict=True)
+        assert (head_row, tail_row) == (0, 2)
+        np.testing.assert_array_equal(node_label_features(node_labels, hops=1),
+                                      [[1, 0, 0, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
 
 
 class TestExtraction:
@@ -124,7 +130,9 @@ class TestExtraction:
     def test_target_edge_excluded_if_present(self, chain_graph):
         target = Triple(1, 0, 2)  # exists in the graph
         subgraph = extract_enclosing_subgraph(chain_graph, target, hops=1)
-        local = (subgraph.node_index[1], 0, subgraph.node_index[2])
+        assert subgraph.nodes[subgraph.head_row] == 1
+        assert subgraph.nodes[subgraph.tail_row] == 2
+        local = (subgraph.head_row, 0, subgraph.tail_row)
         assert local not in {tuple(edge) for edge in subgraph.edges.tolist()}
 
     def test_edges_are_local_indices(self, chain_graph):
@@ -150,7 +158,11 @@ class TestExtraction:
 
     def test_labels_cover_all_nodes(self, chain_graph):
         subgraph = extract_enclosing_subgraph(chain_graph, Triple(0, 0, 3), hops=2)
-        assert set(subgraph.labels) == set(subgraph.nodes)
+        # One label row per node, nodes unique and ascending.
+        assert subgraph.node_labels.shape == (subgraph.num_nodes, 2)
+        assert np.all(np.diff(subgraph.nodes) > 0)
+        assert tuple(subgraph.node_labels[subgraph.head_row]) == (0, 1)
+        assert tuple(subgraph.node_labels[subgraph.tail_row]) == (1, 0)
 
     def test_isolated_endpoints(self):
         graph = KnowledgeGraph(4, 1, [Triple(2, 0, 3)])

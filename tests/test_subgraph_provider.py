@@ -2,14 +2,16 @@
 
 The multi-source :func:`repro.subgraph.provider.extract_batch` must be a pure
 performance change: for any batch of targets it has to return subgraphs
-*identical* to the per-pair extractor — same node sets, node indexing,
-double-radius labels, features and induced edges — including on degenerate
-pairs (disconnected components, ``head == tail``, isolated entities, empty
-neighborhoods).  The cache policies and the two-scope hit/miss counters are
+*identical* to the per-pair extractor — same node arrays, double-radius
+labels, features, endpoint rows and induced edges, dtypes included —
+including on degenerate pairs (disconnected components, ``head == tail``,
+isolated entities, empty neighborhoods).  The cache policies and the two-scope hit/miss counters are
 covered alongside.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -46,12 +48,13 @@ def _random_graph(num_entities: int, num_relations: int, num_triples: int,
 
 def _assert_subgraphs_identical(batched, per_pair, context=""):
     assert batched.target == per_pair.target, context
-    assert batched.nodes == per_pair.nodes, context
-    assert batched.node_index == per_pair.node_index, context
-    assert batched.labels == per_pair.labels, context
-    np.testing.assert_array_equal(batched.node_features, per_pair.node_features,
-                                  err_msg=context)
-    np.testing.assert_array_equal(batched.edges, per_pair.edges, err_msg=context)
+    assert batched.hops == per_pair.hops, context
+    # strict=True: equal shapes and dtypes as well as equal values.
+    for name in ("nodes", "node_labels", "edges", "node_features",
+                 "head_row", "tail_row"):
+        np.testing.assert_array_equal(getattr(batched, name),
+                                      getattr(per_pair, name), strict=True,
+                                      err_msg=f"{name}: {context}")
 
 
 class TestExtractBatchEquivalence:
@@ -107,6 +110,9 @@ class TestExtractBatchEquivalence:
         for improved in (True, False):
             batched = extract_batch(graph, targets, hops=2,
                                     improved_labeling=improved)
+            # The isolated pair has no edges; its (0, 3) array must still
+            # carry the dtype every other pair's edges have.
+            assert batched[2].num_edges == 0 and batched[0].num_edges > 0
             for target, subgraph in zip(targets, batched):
                 expected = extract_enclosing_subgraph(graph, target, hops=2,
                                                       improved_labeling=improved)
@@ -199,13 +205,18 @@ class TestVectorizedLabelAssembly:
         targets.append(Triple(0, 0, 0))
         vectorized, legacy = self._assemble_both(graph, targets, hops,
                                                  improved, max_nodes)
+        self._assert_columns_identical(vectorized, legacy)
+
+    @staticmethod
+    def _assert_columns_identical(vectorized, legacy):
+        # Columns: nodes, node_labels, head rows, tail rows.
+        assert len(vectorized) == len(legacy) == 4
         for column, (fast, slow) in enumerate(zip(vectorized, legacy)):
+            assert len(fast) == len(slow), f"column={column}"
             for pair, (left, right) in enumerate(zip(fast, slow)):
-                if isinstance(left, np.ndarray):
-                    np.testing.assert_array_equal(
-                        left, right, err_msg=f"column={column} pair={pair}")
-                else:
-                    assert left == right, f"column={column} pair={pair}"
+                np.testing.assert_array_equal(
+                    left, right, strict=True,
+                    err_msg=f"column={column} pair={pair}")
 
     def test_out_of_range_endpoints_use_reference_path(self):
         # Flat pair*num_nodes+node keys cannot encode endpoints outside the
@@ -214,11 +225,65 @@ class TestVectorizedLabelAssembly:
         targets = [Triple(0, 0, 7), Triple(9, 0, 1), Triple(0, 0, 2)]
         vectorized, legacy = self._assemble_both(graph, targets, hops=2,
                                                  improved=True, max_nodes=200)
-        labels_fast, nodes_fast = vectorized[0], vectorized[1]
-        labels_slow, nodes_slow = legacy[0], legacy[1]
-        assert labels_fast == labels_slow
-        assert nodes_fast == nodes_slow
-        assert 7 in labels_fast[0] and 9 in labels_fast[1]
+        self._assert_columns_identical(vectorized, legacy)
+        nodes_fast = vectorized[0]
+        assert 7 in nodes_fast[0] and 9 in nodes_fast[1]
+
+
+class TestExtractionLayout:
+    """What one extraction holds: the target, three typed arrays, three ints."""
+
+    DTYPES = {"nodes": np.int64, "node_labels": np.int8, "edges": np.int32}
+
+    def _both_extractors(self, graph, targets):
+        return (extract_batch(graph, targets, hops=2, omit_target_edge=False)
+                + [extract_enclosing_subgraph(graph, target, hops=2)
+                   for target in targets])
+
+    def test_holds_only_typed_arrays_and_ints(self):
+        # No dict, no list, no per-pair float array: features are derived.
+        graph = _random_graph(30, 3, 90, seed=3)
+        targets = [Triple(0, 0, 5), Triple(3, 1, 3), Triple(7, 2, 29),
+                   Triple(0, 0, 5)]
+        for subgraph in self._both_extractors(graph, targets):
+            assert not hasattr(subgraph, "__dict__")
+            stored = {field.name: getattr(subgraph, field.name)
+                      for field in dataclasses.fields(subgraph)}
+            assert type(stored.pop("target")) is Triple
+            for name, dtype in self.DTYPES.items():
+                array = stored.pop(name)
+                assert type(array) is np.ndarray, name
+                assert array.dtype == dtype, name
+            assert set(stored) == {"head_row", "tail_row", "hops"}
+            assert all(type(value) is int for value in stored.values()), stored
+            num_nodes = subgraph.num_nodes
+            assert subgraph.nodes.shape == (num_nodes,)
+            assert subgraph.node_labels.shape == (num_nodes, 2)
+            assert subgraph.edges.shape == (subgraph.num_edges, 3)
+            assert subgraph.nodes[subgraph.head_row] == subgraph.target.head
+            assert subgraph.nodes[subgraph.tail_row] == subgraph.target.tail
+
+    def test_batched_arrays_are_views_of_batch_arrays(self):
+        graph = _random_graph(30, 3, 90, seed=3)
+        first, second = extract_batch(graph, [Triple(0, 0, 5), Triple(1, 0, 6)])
+        for name in self.DTYPES:
+            left, right = getattr(first, name), getattr(second, name)
+            assert left.base is not None and left.base is right.base, name
+
+    @pytest.mark.parametrize("hops", [127, 200])
+    def test_hops_beyond_int8_labels_rejected(self, hops):
+        graph = KnowledgeGraph(3, 1, [Triple(0, 0, 1)])
+        with pytest.raises(ValueError, match="hops"):
+            extract_batch(graph, [Triple(0, 0, 1)], hops=hops)
+        with pytest.raises(ValueError, match="hops"):
+            extract_enclosing_subgraph(graph, Triple(0, 0, 1), hops=hops)
+
+    def test_largest_hop_budget_still_extracts(self):
+        graph = KnowledgeGraph(3, 1, [Triple(0, 0, 1), Triple(1, 0, 2)])
+        batched = extract_batch(graph, [Triple(0, 0, 2)], hops=126)
+        expected = extract_enclosing_subgraph(graph, Triple(0, 0, 2), hops=126)
+        _assert_subgraphs_identical(batched[0], expected)
+        assert batched[0].node_features.shape == (3, 2 * 127)
 
 
 class TestMaskedEdges:
