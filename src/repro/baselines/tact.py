@@ -80,8 +80,8 @@ class TACT(Grail):
         """
         if edges is None:
             edges = subgraph.edges
-        head_counts = self._subgraph_relation_counts(edges, subgraph.head_row)
-        tail_counts = self._subgraph_relation_counts(edges, subgraph.tail_row)
+        head_counts = self._subgraph_relation_counts(edges, subgraph.head_index())
+        tail_counts = self._subgraph_relation_counts(edges, subgraph.tail_index())
         head_context = self._adjacent_relation_vector(head_counts, triple.relation)
         tail_context = self._adjacent_relation_vector(tail_counts, triple.relation)
         relation_vector = self.relation_context[int(triple.relation)]

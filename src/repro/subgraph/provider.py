@@ -364,14 +364,12 @@ def _collect_induced_edges_batch(graph: KnowledgeGraph,
     num_subgraphs = len(nodes_list)
     counts = np.fromiter((nodes.shape[0] for nodes in nodes_list),
                          dtype=np.int64, count=num_subgraphs)
-    total = int(counts.sum())
-    if total == 0:
+    if counts.sum() == 0:
         return [np.zeros((0, 3), dtype=np.int32)] * num_subgraphs
     all_nodes = np.concatenate(nodes_list)
     pair_of_node = np.repeat(np.arange(num_subgraphs, dtype=np.int64), counts)
-    node_starts = np.zeros(num_subgraphs, dtype=np.int64)
-    np.cumsum(counts[:-1], out=node_starts[1:])
-    local_values = np.arange(total, dtype=np.int64) - np.repeat(node_starts, counts)
+    local_values = np.concatenate([np.arange(count, dtype=np.int64)
+                                   for count in counts if count])
 
     scratch = adjacency.scratch()
     local = scratch.borrow_index_matrix(num_subgraphs)
