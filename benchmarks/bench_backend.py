@@ -1,8 +1,9 @@
 """Backend scatter-kernel benchmark: ``np.add.at`` vs the numpy backend kernel.
 
 ``NumpyBackend.scatter_rows`` — the segmented row reduction behind
-``scatter_add``'s forward and ``gather``'s backward — is one flat-index
-weighted ``np.bincount`` for every shape (see
+``scatter_add``'s forward and ``gather``'s backward — multiplies values
+wider than one column by a unit-weight CSC matrix with scipy and sums
+one-column values with a weighted ``np.bincount`` (see
 ``repro/backend/numpy_backend.py``).  This benchmark times it against the
 unbuffered ufunc scatter ``np.add.at`` on the R-GCN training shape and on
 dense- and sparse-regime shapes up to 65k edges and 262k rows.

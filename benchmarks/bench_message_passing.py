@@ -232,8 +232,8 @@ def test_aggregate_messages_micro():
 def test_scatter_kernel_micro():
     """CPU scatter kernel: ``np.add.at`` vs the backend's ``scatter_rows``.
 
-    The numpy backend's ``scatter_rows`` is one flat-index weighted
-    ``np.bincount`` for every shape.  Each row asserts it bit-identical to
+    The numpy backend's ``scatter_rows`` is a scipy CSC product with unit
+    weights for values wider than one column.  Each row asserts it bit-identical to
     the ufunc scatter before reporting a speedup.  Gated: >= 1.5x over
     ``np.add.at`` on the dense shape and >= 1.0x on the sparse one, whose
     cost both kernels spend mostly faulting in the output's pages (see
@@ -259,7 +259,7 @@ def test_scatter_kernel_micro():
         rows.append((label, num_rows, num_edges, t_add_at * 1000, t_kernel * 1000,
                      t_add_at / t_kernel, floor))
 
-    print_banner("scatter_rows: np.add.at vs the flat-index bincount kernel")
+    print_banner("scatter_rows: np.add.at vs the sparse-product kernel")
     for label, num_rows, num_edges, ms_add_at, ms_kernel, speedup, _ in rows:
         print(f"  {label:6s} rows={num_rows:6d} E={num_edges:5d}: "
               f"add.at {ms_add_at:7.3f} ms   kernel {ms_kernel:7.3f} ms   "

@@ -33,8 +33,8 @@ Together they let message passing over ``E`` edges run in ``O(E * dim)``
 instead of materializing a dense ``(num_nodes, num_edges)`` one-hot scatter
 matrix per layer.  :func:`basis_message_passing` is the third: one R-GCN
 message-passing round over the basis decomposition (project, gather, basis
-contraction, scatter) as a single node, whose tape keeps one ``(E, ·)``
-array instead of the unfused chain's four.
+contraction, scatter) as a single node, whose tape keeps the ``(N, ·)``
+node projection instead of the unfused chain's four ``(E, ·)`` arrays.
 """
 
 from __future__ import annotations
@@ -522,7 +522,7 @@ def gather(source: Tensor, indices) -> Tensor:
     single fancy-indexing gather, backward scatters the incoming gradient back
     through the backend's row-scatter kernel (duplicate indices accumulate;
     see :meth:`repro.backend.base.ArrayBackend.scatter_rows` and the numpy
-    backend's single ``bincount`` kernel).
+    backend's sparse-product kernel).
     """
     backend = active_backend()
     indices = backend.asindex(indices)
@@ -585,18 +585,22 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
         out[v] = Σ_{e: destinations[e] = v} Σ_b coefficients[e, b] · (features[sources[e]] @ V_b)
 
     Forward projects the nodes once (``P = features @ basis_matrix``, an
-    ``N``-row GEMM), gathers ``P[sources]``, contracts the basis axis with
-    ``einsum("ebo,eb->eo")`` and sums the messages into their destinations
-    with the backend's ``scatter_rows``.  A GEMM row does not depend on the
-    other rows, so this equals the unfused ``gather → @ → einsum →
-    scatter_add`` chain bit for bit, as does the backward: that chain's
-    backward written out once, through the same kernels.  (Numpy multiplies
-    a one-row matrix on another BLAS path, so the two differ in rounding
-    when exactly one of ``N`` and ``E`` is 1.)
+    ``N``-row GEMM).  The backend's ``gather_combine`` takes each edge's
+    coefficient-weighted sum over the basis blocks of ``P[sources]``, and
+    its ``scatter_rows`` sums the messages into their destinations.  On the
+    numpy backend both are scipy sparse products that add in the order of
+    the numpy chain (see :mod:`repro.backend.numpy_backend`).  A GEMM row
+    does not depend on the other rows, so this equals the unfused
+    ``gather → @ → einsum → scatter_add`` chain bit for bit for ``out ≥ 2``,
+    as does the backward: that chain's backward written out once, through
+    the same kernels.  (Numpy multiplies a one-row matrix on another BLAS
+    path, so the two differ in rounding when exactly one of ``N`` and ``E``
+    is 1; at ``out = 1`` einsum sums the basis terms in another order.)
 
-    The node keeps only ``P[sources]`` for its backward.  The chain's
-    ``(E, in)`` gathered features, ``(E, B·out)`` projection and ``(E, out)``
-    messages never become tape nodes; backward regathers the features.
+    The node keeps the ``(N, B·out)`` projection ``P`` for its backward.
+    The chain's ``(E, in)`` gathered features, ``(E, B·out)`` projection and
+    ``(E, out)`` messages never become tape nodes; backward regathers the
+    features, and ``P[sources]`` only for the coefficient gradient.
     """
     backend = active_backend()
     sources = backend.asindex(sources)
@@ -612,15 +616,16 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
     for indices in (sources, destinations):
         if indices.size and (indices.min() < 0 or indices.max() >= num_nodes):
             raise IndexError("basis_message_passing node indices out of range")
-    projected = backend.gather_rows(features.data @ basis_matrix.data, sources)
-    projected = projected.reshape(num_edges, num_bases, width // num_bases)  # (E, B, out)
-    messages = xp.einsum("ebo,eb->eo", projected, coefficients.data)
+    projected = features.data @ basis_matrix.data  # (N, B*out)
+    messages = backend.gather_combine(projected, sources, coefficients.data)  # (E, out)
     out = backend.scatter_rows(destinations, messages, num_nodes)
 
     def backward(grad) -> None:
         grad = backend.gather_rows(backend.asarray(grad), destinations)  # (E, out)
         if coefficients.requires_grad:
-            coefficients._accumulate(xp.einsum("ebo,eo->eb", projected, grad))
+            gathered = backend.gather_rows(projected, sources).reshape(
+                num_edges, num_bases, width // num_bases)  # (E, B, out)
+            coefficients._accumulate(xp.einsum("ebo,eo->eb", gathered, grad))
         if not (features.requires_grad or basis_matrix.requires_grad):
             return
         grad = xp.einsum("eo,eb->ebo", grad, coefficients.data).reshape(num_edges, width)

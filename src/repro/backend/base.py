@@ -29,7 +29,8 @@ library behind one object:
 
 Every method has a generic implementation in terms of ``xp``; concrete
 backends override the ones their array library spells differently (CuPy's
-``scatter_add``) or can do faster (numpy's flat-index ``bincount`` scatter).
+``scatter_add``) or can do faster (numpy's scatter and gather-combine run as
+scipy sparse products).
 """
 
 from __future__ import annotations
@@ -119,6 +120,23 @@ class ArrayBackend:
     def gather_rows(self, values, indices):
         """Select rows ``values[indices]`` along the first axis."""
         return values[indices]
+
+    def gather_combine(self, values, indices, weights):
+        """Weighted sums of gathered row blocks, the R-GCN edge messages.
+
+        ``values`` is ``(N, B·W)``: ``B`` blocks of width ``W`` side by side
+        per row.  ``weights`` is ``(E, B)`` and ``indices`` holds ``E`` rows
+        of ``values``.  The result is ``(E, W)``::
+
+            out[e] = Σ_b weights[e, b] · values[indices[e], b·W:(b+1)·W]
+
+        This default gathers the rows and contracts the block axis with
+        ``einsum("ebo,eb->eo")``.
+        """
+        num_edges, num_blocks = weights.shape
+        gathered = self.gather_rows(values, indices).reshape(
+            num_edges, num_blocks, values.shape[1] // num_blocks)
+        return self.xp.einsum("ebo,eb->eo", gathered, weights)
 
     def index_add(self, out, indices, values) -> None:
         """In-place ``out[indices] += values`` with duplicate accumulation."""

@@ -130,6 +130,10 @@ class TracingBackend(NumpyBackend):
         self.calls["kernel.gather_rows"] += 1
         return values[indices]
 
+    def gather_combine(self, values, indices, weights):
+        self.calls["kernel.gather_combine"] += 1
+        return NumpyBackend.gather_combine(self, values, indices, weights)
+
     def index_add(self, out, indices, values) -> None:
         self.calls["kernel.index_add"] += 1
         np.add.at(out, indices, values)

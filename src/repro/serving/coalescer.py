@@ -20,7 +20,9 @@ spec declares ``batch_invariant_scoring`` (elementwise scorers: TransE,
 RotatE, DistMult, ComplEx, HolE, ProjE, SimplE, GEN, RuleN) may be fused:
 adjacent same-model requests concatenate into one call, capped at
 ``max_batch`` triples, and the result is sliced back per request —
-bit-identical either way, but one model entry instead of N.
+bit-identical either way, but one model entry instead of N.  If a fused
+call raises, each of its requests re-runs alone (counted as
+``split_groups``), so one bad request fails only itself.
 
 **Backpressure.**  With ``max_pending`` set, ``submit`` rejects new
 requests with :class:`ServiceOverloaded` once that many are already
@@ -110,6 +112,7 @@ class RequestCoalescer:
         # telemetry (guarded by _lock)
         self._flushes = 0
         self._degraded_flushes = 0
+        self._split_groups = 0
         self._requests = 0
         self._rejected_requests = 0
         self._fused_requests = 0
@@ -249,6 +252,14 @@ class RequestCoalescer:
         try:
             scores = self._score_fn(group[0].model, triples)
         except BaseException as error:  # noqa: BLE001 — futures carry it
+            if len(group) > 1 and isinstance(error, Exception):
+                # One request's bad input must fail only that request: re-run
+                # each request of the group alone, as a degraded flush does.
+                with self._lock:
+                    self._split_groups += 1
+                for request in group:
+                    self._execute([request])
+                return
             for request in group:
                 if not request.future.set_running_or_notify_cancel():
                     continue
@@ -276,6 +287,7 @@ class RequestCoalescer:
                 "rejected_requests": self._rejected_requests,
                 "flushes": self._flushes,
                 "degraded_flushes": self._degraded_flushes,
+                "split_groups": self._split_groups,
                 "fused_requests": self._fused_requests,
                 "max_batch": self.max_batch,
                 "max_wait_ms": self.max_wait_ms,

@@ -287,6 +287,32 @@ class TestRGCNEdgePath:
         assert len(seen) > 10  # the walk really covered the layer's graph
         assert per_edge == []
 
+    def test_message_passing_closure_keeps_no_per_edge_feature_arrays(self):
+        """The fused node's backward closure holds no array with one row per
+        edge and ``in_dim`` or more columns: it keeps the ``(N, B·out)`` node
+        projection and gathers ``P[sources]`` only while backward runs."""
+        layer, features, edges, _ = _edge_path_case(True, 0.5, wide=True)
+        out = layer(Tensor(features, requires_grad=True), edges)
+        num_edges = len(edges)
+        nodes, seen, stack = [], set(), [out]
+        while stack:
+            tensor = stack.pop()
+            if id(tensor) in seen:
+                continue
+            seen.add(id(tensor))
+            stack.extend(tensor._parents)
+            if getattr(tensor._backward, "__qualname__", "").startswith("basis_message_passing."):
+                nodes.append(tensor)
+        assert len(nodes) == 1
+        captured = []
+        for cell in nodes[0]._backward.__closure__:
+            value = cell.cell_contents
+            array = value.data if isinstance(value, Tensor) else value
+            if (getattr(array, "ndim", 0) and array.shape[0] == num_edges
+                    and array.size // num_edges >= layer.in_dim):
+                captured.append(array.shape)
+        assert captured == []
+
     @pytest.mark.parametrize("use_attention", [True, False])
     def test_dropout_mask_moves_to_the_compute_backend(self, monkeypatch, use_attention):
         """The mask is drawn as a host array; it must pass the backend's

@@ -237,6 +237,25 @@ class TestServingFaults:
         coalescer.close()
 
 
+def test_bad_request_fails_alone_in_a_fused_flush():
+    """An out-of-range request fused with good ones fails only itself: the
+    group re-runs one request at a time, and the good requests get the
+    scores of a direct ``score_many`` call, bit for bit."""
+    graph = build_benchmark("fb15k-237", "EQ", seed=0, scale=0.2).split.evaluation_graph()
+    model = build_model("TransE", num_entities=graph.num_entities,
+                        num_relations=graph.num_relations, embedding_dim=8, seed=0)
+    good = [Triple(0, 0, 1), Triple(2, 1, 3)]
+    requests = [good[:1], [Triple(0, 0, 10 ** 6)], good[1:]]
+    with ScoringService({"TransE": model}, graph, max_wait_ms=50.0) as service:
+        futures = [service.submit("TransE", request) for request in requests]
+        with pytest.raises(IndexError):
+            futures[1].result(timeout=10)
+        assert futures[0].result(timeout=10) == [float(s) for s in model.score_many(good[:1])]
+        assert futures[2].result(timeout=10) == [float(s) for s in model.score_many(good[1:])]
+        stats = service.stats()["coalescer"]
+    assert stats["split_groups"] == 1
+
+
 # --------------------------------------------------------------------- #
 # service-level bit-identity on real registered models
 # --------------------------------------------------------------------- #
