@@ -587,20 +587,29 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
     Forward projects the nodes once (``P = features @ basis_matrix``, an
     ``N``-row GEMM).  The backend's ``gather_combine`` takes each edge's
     coefficient-weighted sum over the basis blocks of ``P[sources]``, and
-    its ``scatter_rows`` sums the messages into their destinations.  On the
-    numpy backend both are scipy sparse products that add in the order of
-    the numpy chain (see :mod:`repro.backend.numpy_backend`).  A GEMM row
-    does not depend on the other rows, so this equals the unfused
-    ``gather → @ → einsum → scatter_add`` chain bit for bit for ``out ≥ 2``,
-    as does the backward: that chain's backward written out once, through
-    the same kernels.  (Numpy multiplies a one-row matrix on another BLAS
-    path, so the two differ in rounding when exactly one of ``N`` and ``E``
-    is 1; at ``out = 1`` einsum sums the basis terms in another order.)
+    its ``scatter_rows`` sums the messages into their destinations.
+    Backward is the adjoint of that forward: with ``g = grad[destinations]``,
+    the backend's ``scatter_combine`` sums ``coefficients[e, b] · g[e]`` into
+    row ``sources[e]`` to give the ``(N, B·out)`` projection gradient ``dP``,
+    and the feature and basis gradients are the ``N``-row GEMMs
+    ``dP @ basis_matrix.T`` and ``features.T @ dP``.  The coefficient
+    gradient contracts ``P[sources]`` with ``g`` over the output axis.
+
+    On the numpy backend the three kernels are scipy sparse products that
+    add in the order of the numpy chain (see
+    :mod:`repro.backend.numpy_backend`), so forward and backward equal the
+    project-first chain ``gather(features @ basis_matrix, sources) →
+    einsum("ebo,eb->eo") → scatter_add`` bit for bit for ``out ≥ 2``.  (At
+    ``out = 1`` einsum sums the basis terms in another order.)  They equal
+    the gather-first chain ``gather(features, sources) @ basis_matrix → …``
+    up to rounding only: BLAS blocks a GEMM by its row count, so
+    ``(X @ W)[sources]`` and ``X[sources] @ W`` can differ in the last bits,
+    and the backward sums the edges before its GEMMs, not after.
 
     The node keeps the ``(N, B·out)`` projection ``P`` for its backward.
     The chain's ``(E, in)`` gathered features, ``(E, B·out)`` projection and
-    ``(E, out)`` messages never become tape nodes; backward regathers the
-    features, and ``P[sources]`` only for the coefficient gradient.
+    ``(E, out)`` messages never become tape nodes; backward gathers
+    ``P[sources]`` only for the coefficient gradient.
     """
     backend = active_backend()
     sources = backend.asindex(sources)
@@ -628,13 +637,11 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
             coefficients._accumulate(xp.einsum("ebo,eo->eb", gathered, grad))
         if not (features.requires_grad or basis_matrix.requires_grad):
             return
-        grad = xp.einsum("eo,eb->ebo", grad, coefficients.data).reshape(num_edges, width)
+        grad = backend.scatter_combine(grad, sources, coefficients.data, num_nodes)  # (N, B*out)
         if features.requires_grad:
-            features._accumulate(backend.scatter_rows(
-                sources, grad @ basis_matrix.data.T, num_nodes))
+            features._accumulate(grad @ basis_matrix.data.T)
         if basis_matrix.requires_grad:
-            gathered = backend.gather_rows(features.data, sources)  # (E, in)
-            basis_matrix._accumulate(gathered.T @ grad)
+            basis_matrix._accumulate(features.data.T @ grad)
 
     return Tensor._make(out, (features, basis_matrix, coefficients), backward)
 

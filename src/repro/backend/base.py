@@ -29,8 +29,8 @@ library behind one object:
 
 Every method has a generic implementation in terms of ``xp``; concrete
 backends override the ones their array library spells differently (CuPy's
-``scatter_add``) or can do faster (numpy's scatter and gather-combine run as
-scipy sparse products).
+``scatter_add``) or can do faster (numpy's scatter, gather-combine and
+scatter-combine run as scipy sparse products).
 """
 
 from __future__ import annotations
@@ -137,6 +137,23 @@ class ArrayBackend:
         gathered = self.gather_rows(values, indices).reshape(
             num_edges, num_blocks, values.shape[1] // num_blocks)
         return self.xp.einsum("ebo,eb->eo", gathered, weights)
+
+    def scatter_combine(self, values, indices, weights, num_rows: int):
+        """Weighted row blocks summed into ``num_rows`` rows: the adjoint of
+        :meth:`gather_combine`, the R-GCN projection gradient.
+
+        ``values`` is ``(E, W)``, ``weights`` ``(E, B)`` and ``indices`` holds
+        ``E`` rows of the output.  The result is ``(num_rows, B·W)``::
+
+            out[n, b·W:(b+1)·W] = Σ_{e: indices[e] = n} weights[e, b] · values[e]
+
+        This default forms the ``(E, B, W)`` outer product with
+        ``einsum("eo,eb->ebo")`` and sums it with :meth:`scatter_rows`.
+        """
+        num_edges, num_blocks = weights.shape
+        blocks = self.xp.einsum("eo,eb->ebo", values, weights).reshape(
+            num_edges, num_blocks * values.shape[1])
+        return self.scatter_rows(indices, blocks, num_rows)
 
     def index_add(self, out, indices, values) -> None:
         """In-place ``out[indices] += values`` with duplicate accumulation."""

@@ -1,9 +1,10 @@
 """The always-on numpy reference backend, with its CPU indexed kernels.
 
 ``NumpyBackend`` is the default and the correctness reference every other
-backend is tested against.  Its two non-trivial pieces are the indexed
-kernels of the GNN message-passing path, and both run as scipy sparse–dense
-products, whose compiled loops fuse the indexing with the arithmetic:
+backend is tested against.  Its non-trivial pieces are the three indexed
+kernels of the GNN message-passing path, and all three run as scipy
+sparse–dense products, whose compiled loops fuse the indexing with the
+arithmetic:
 
 * :meth:`~NumpyBackend.scatter_rows` — the segmented row reduction behind
   ``scatter_add``'s forward and ``gather``'s backward.  Values wider than
@@ -21,12 +22,24 @@ products, whose compiled loops fuse the indexing with the arithmetic:
   message is ``Σ_b`` in ``b`` order: the order of ``einsum("ebo,eb->eo")``
   for ``W ≥ 2``.  At ``W = 1`` einsum sums the ``B`` products in another
   order, so the two can differ in the last bit there.
+* :meth:`~NumpyBackend.scatter_combine` — its adjoint, the projection
+  gradient of the R-GCN backward.  It is the transpose of the same matrix,
+  an ``(num_rows·B, E)`` CSC matrix with ``weights[e, b]`` at row
+  ``indices[e]·B + b`` of column ``e``, times the ``(E, W)`` values.  Each
+  term is one product, and scipy adds each row's terms in column order,
+  which is edge order, so the result equals the ``einsum("eo,eb->ebo")``
+  outer product summed by ``scatter_rows``, bit for bit.
 
-Both kernels are therefore bit-identical to the numpy chains they replace
-(gather → einsum, ``np.add.at``) on the messages and gradients the models
-compute.  scipy's constructors do not bounds-check indices, so each kernel
-checks its index array first: a non-integer array raises ``TypeError`` and
-a row outside ``[0, num_rows)``, negative ones included, ``IndexError``.
+Each kernel is therefore bit-identical to the numpy chain it replaces
+(gather → einsum, ``np.add.at``, einsum → scatter).  The message-passing
+node built on them (:func:`repro.autodiff.tensor.basis_message_passing`)
+equals the project-first chain ``gather(X @ W, src) → basis sum →
+scatter_add`` bit for bit, forward and backward, and the gather-first chain
+``gather(X, src) @ W → …`` up to rounding: BLAS blocks a GEMM by its row
+count, so ``(X @ W)[src]`` and ``X[src] @ W`` can differ in the last bits.
+scipy's constructors do not bounds-check indices, so each kernel checks its
+index array first: a non-integer array raises ``TypeError`` and a row
+outside ``[0, num_rows)``, negative ones included, ``IndexError``.
 ``scipy.sparse`` is imported on the first kernel call, not with
 :mod:`repro`: the import takes 0.15–0.25 s on the same box, which
 start-up paths that never run a kernel should not pay.
@@ -87,3 +100,15 @@ class NumpyBackend(ArrayBackend):
             (weights.reshape(-1), columns, np.arange(0, num_edges * num_blocks + 1, num_blocks)),
             shape=(num_edges, num_rows * num_blocks))
         return selector @ values.reshape(num_rows * num_blocks, values.shape[1] // num_blocks)
+
+    def scatter_combine(self, values, indices, weights, num_rows: int):
+        from scipy.sparse import csc_array
+
+        indices = np.asarray(indices)
+        _check_rows(indices, num_rows, "scatter_combine")
+        num_edges, num_blocks = weights.shape
+        rows = (indices[:, None] * num_blocks + np.arange(num_blocks)).reshape(-1)
+        selector = csc_array(
+            (weights.reshape(-1), rows, np.arange(0, num_edges * num_blocks + 1, num_blocks)),
+            shape=(num_rows * num_blocks, num_edges))
+        return (selector @ values).reshape(num_rows, num_blocks * values.shape[1])

@@ -134,6 +134,10 @@ class TracingBackend(NumpyBackend):
         self.calls["kernel.gather_combine"] += 1
         return NumpyBackend.gather_combine(self, values, indices, weights)
 
+    def scatter_combine(self, values, indices, weights, num_rows: int):
+        self.calls["kernel.scatter_combine"] += 1
+        return NumpyBackend.scatter_combine(self, values, indices, weights, num_rows)
+
     def index_add(self, out, indices, values) -> None:
         self.calls["kernel.index_add"] += 1
         np.add.at(out, indices, values)

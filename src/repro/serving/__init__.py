@@ -25,11 +25,12 @@ from repro.serving.coalescer import (CoalescerClosed, RequestCoalescer,
 from repro.serving.daemon import (ScoringServer, handle_request, run_daemon,
                                   serve, wait_until_serving)
 from repro.serving.replicas import ReplicaDied, ReplicaPool
-from repro.serving.service import ScoringService
+from repro.serving.service import InvalidRequest, ScoringService
 
 __all__ = [
     "CoalescerClosed",
     "InProcessClient",
+    "InvalidRequest",
     "ReplicaDied",
     "ReplicaPool",
     "RequestCoalescer",

@@ -23,6 +23,8 @@ import json
 import socket
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.kg.triple import Triple
 from repro.serving.daemon import handle_request
 from repro.serving.service import ScoringService
@@ -34,11 +36,12 @@ class ServingError(RuntimeError):
     """An ``{"ok": false}`` response, with the daemon's error text."""
 
 
-def _wire_triple(triple: TripleLike) -> List[int]:
+def _wire_triple(triple: TripleLike) -> List[Any]:
+    """The ids as JSON values, uncoerced: the service validates them, so a
+    float or a bool is refused there instead of truncated here."""
     if isinstance(triple, Triple):
-        return [triple.head, triple.relation, triple.tail]
-    head, relation, tail = triple
-    return [int(head), int(relation), int(tail)]
+        triple = (triple.head, triple.relation, triple.tail)
+    return [value.item() if isinstance(value, np.generic) else value for value in triple]
 
 
 class _OpsMixin:
@@ -54,6 +57,7 @@ class _OpsMixin:
         return self.request({"op": "models"})
 
     def score(self, model: str, head: int, relation: int, tail: int) -> float:
+        head, relation, tail = _wire_triple((head, relation, tail))
         return self.request({"op": "score", "model": model, "head": head,
                              "relation": relation, "tail": tail})
 

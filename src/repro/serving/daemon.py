@@ -13,7 +13,8 @@ failing request never takes the daemon down — the connection gets the
 error line and the loop keeps serving.  When the service's bounded
 pending queue is full the response carries ``"code": "overloaded"`` so
 clients can back off programmatically; a request whose scoring replica
-died answers ``"code": "replica_died"``.  Concurrency comes from
+died answers ``"code": "replica_died"``, and one with a malformed triple or
+an id outside the served graph ``"code": "invalid"``.  Concurrency comes from
 thread-per-connection accept; compute stays serialized (and batched
 across connections) on the service's coalescer flush thread — which, with
 ``--replicas N``, dispatches each flushed batch to one of N spawned
@@ -42,7 +43,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.resilience import FaultInjected, fire
 from repro.serving.coalescer import ServiceOverloaded
 from repro.serving.replicas import ReplicaDied
-from repro.serving.service import ScoringService
+from repro.serving.service import InvalidRequest, ScoringService
 
 #: Fault site fired once per decoded request line.
 REQUEST_FAULT_SITE = "serve_request"
@@ -64,8 +65,8 @@ def handle_request(service: ScoringService, request: Dict[str, Any],
         elif op == "models":
             result = service.models()
         elif op == "score":
-            result = service.score(request["model"], int(request["head"]),
-                                   int(request["relation"]), int(request["tail"]))
+            result = service.score(request["model"], request["head"],
+                                   request["relation"], request["tail"])
         elif op == "score_many":
             result = service.score_many(request["model"], request["triples"])
         elif op == "rank":
@@ -80,6 +81,10 @@ def handle_request(service: ScoringService, request: Dict[str, Any],
                              "['ping', 'models', 'score', 'score_many', "
                              "'rank', 'compare', 'stats', 'shutdown']")
         return {"ok": True, "result": result}
+    except InvalidRequest as error:
+        # A malformed triple or an id outside the served graph, refused
+        # before it was queued.
+        return {"ok": False, "error": f"invalid: {error}", "code": "invalid"}
     except ServiceOverloaded as error:
         # Structured backpressure: the bounded pending queue is full.  The
         # "code" field lets clients branch on it without parsing prose.

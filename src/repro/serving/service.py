@@ -23,6 +23,11 @@ each (head, tail) extraction once, not three times.  Models with different
 signatures keep separate providers (a shared entry would be the wrong
 subgraph), and the ``stats`` op reports hit rates per provider.
 
+Validation: :meth:`ScoringService.submit` refuses a triple whose ids are
+not integers (bools, floats and strings included) inside the served graph's
+vocabulary with :class:`InvalidRequest`, before the request is queued, so a
+bad request never reaches a flush that good ones share.
+
 Bit-identity: ``score``/``score_many`` execute exactly the submitted
 composition (fused only for ``batch_invariant_scoring`` models, which are
 bitwise composition-invariant), and ``rank`` scores ``[true] + candidates``
@@ -57,12 +62,34 @@ PathLike = Union[str, Path]
 LATENCY_RESERVOIR = 8192
 
 
-def _as_triple(value: Union[Triple, Sequence[int]]) -> Triple:
-    """Accept ``Triple`` or a ``(head, relation, tail)`` sequence (wire form)."""
+class InvalidRequest(ValueError):
+    """A request the service refuses before queueing it: a malformed triple,
+    or an id that is not an integer in the served graph's vocabulary."""
+
+
+def _checked_id(value: Any, size: int, field: str) -> int:
+    """``value`` as an ``int`` in ``[0, size)``; bools, floats and strings are refused."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise InvalidRequest(f"{field} must be an integer id, got {value!r}")
+    if not 0 <= value < size:
+        raise InvalidRequest(f"{field} id {value} is outside [0, {size}) of the served graph")
+    return int(value)
+
+
+def _as_triple(value: Union[Triple, Sequence[int]], graph: KnowledgeGraph) -> Triple:
+    """Accept ``Triple`` or a ``(head, relation, tail)`` sequence (wire form)
+    whose ids index ``graph``'s entities and relations."""
     if isinstance(value, Triple):
-        return value
-    head, relation, tail = value
-    return Triple(int(head), int(relation), int(tail))
+        head, relation, tail = value.head, value.relation, value.tail
+    else:
+        try:
+            head, relation, tail = value
+        except (TypeError, ValueError):
+            raise InvalidRequest(
+                f"a triple is a (head, relation, tail) sequence, got {value!r}") from None
+    return Triple(_checked_id(head, graph.num_entities, "head"),
+                  _checked_id(relation, graph.num_relations, "relation"),
+                  _checked_id(tail, graph.num_entities, "tail"))
 
 
 class ScoringService:
@@ -202,8 +229,16 @@ class ScoringService:
         return self._graph
 
     def submit(self, model: str, triples: Sequence[Union[Triple, Sequence[int]]]):
-        """Enqueue one scoring request; returns its future (list of floats)."""
-        return self._coalescer.submit(model, [_as_triple(t) for t in triples])
+        """Enqueue one scoring request; returns its future (list of floats).
+
+        Every triple is checked first, so a malformed one raises
+        :class:`InvalidRequest` here and never joins a flush.
+        """
+        try:
+            items = iter(triples)
+        except TypeError:
+            raise InvalidRequest(f"triples must be a list of triples, got {triples!r}") from None
+        return self._coalescer.submit(model, [_as_triple(t, self._graph) for t in items])
 
     def score_many(self, model: str,
                    triples: Sequence[Union[Triple, Sequence[int]]]) -> List[float]:

@@ -263,9 +263,25 @@ def _gather_combine_cases(draw):
             rng.normal(size=(num_edges, num_blocks)))
 
 
+@st.composite
+def _scatter_combine_cases(draw):
+    """(values, indices, weights, num_rows): a ``gather_combine`` case's
+    indices and weights, with ``(E, W)`` values in a drawn memory layout."""
+    projected, indices, weights = draw(_gather_combine_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.normal(size=(len(indices), projected.shape[1] // weights.shape[1]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":  # every other row of a twice-as-long array
+        values = np.repeat(values, 2, axis=0)[::2]
+    return values, indices, weights, projected.shape[0]
+
+
 class TestSparseKernels:
-    """The numpy backend's scipy products: ``gather_combine``'s exactness, the
-    index checks both kernels make first, and the lazy ``scipy`` import."""
+    """The numpy backend's scipy products: ``gather_combine``'s and
+    ``scatter_combine``'s exactness, the index checks all three kernels make
+    first, and the lazy ``scipy`` import."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=_gather_combine_cases())
@@ -291,7 +307,28 @@ class TestSparseKernels:
             np.testing.assert_array_equal(
                 result, ArrayBackend.gather_combine(NumpyBackend(), values, indices, weights))
 
-    @pytest.mark.parametrize("kernel", ["scatter_rows", "gather_combine"])
+    @settings(max_examples=80, deadline=None)
+    @given(case=_scatter_combine_cases())
+    @example(case=(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 5))
+    @example(case=(np.linspace(-1.0, 1.0, 5).reshape(5, 1), np.array([2, 0, 2, 2, 1]),
+                   np.linspace(0.5, 2.5, 15).reshape(5, 3), 3))
+    @example(case=(np.asfortranarray(np.arange(12.0).reshape(4, 3)), np.array([1, 1, 0, 1]),
+                   np.ones((4, 1)), 2))
+    def test_scatter_combine_matches_its_default(self, case):
+        """Equal, bit for bit, to the ``einsum("eo,eb->ebo")`` outer product
+        summed by ``scatter_rows`` (the ``ArrayBackend`` default), and to the
+        same outer product summed by ``np.add.at``: each term is one product,
+        and every row adds its terms in edge order."""
+        values, indices, weights, num_rows = case
+        result = NumpyBackend().scatter_combine(values, indices, weights, num_rows)
+        assert result.shape == (num_rows, weights.shape[1] * values.shape[1])
+        np.testing.assert_array_equal(
+            result,
+            ArrayBackend.scatter_combine(NumpyBackend(), values, indices, weights, num_rows))
+        outer = (values[:, None, :] * weights[:, :, None]).reshape(len(indices), result.shape[1])
+        np.testing.assert_array_equal(result, _reference_scatter(indices, outer, num_rows))
+
+    @pytest.mark.parametrize("kernel", ["scatter_rows", "gather_combine", "scatter_combine"])
     @pytest.mark.parametrize("indices,error", [([0, 3], IndexError), ([0, -1], IndexError),
                                                ([0.0, 1.0], TypeError)])
     def test_bad_indices_raise_before_any_sparse_call(self, monkeypatch, kernel, indices,
@@ -309,8 +346,10 @@ class TestSparseKernels:
         with pytest.raises(error):
             if kernel == "scatter_rows":
                 backend.scatter_rows(indices, np.ones((2, 4)), 3)
-            else:
+            elif kernel == "gather_combine":
                 backend.gather_combine(np.ones((3, 8)), indices, np.ones((2, 2)))
+            else:
+                backend.scatter_combine(np.ones((2, 4)), indices, np.ones((2, 2)), 3)
 
     def test_import_leaves_scipy_unloaded(self):
         """``import repro``, ``repro.experiment`` and ``repro.cli`` load no
@@ -398,7 +437,11 @@ def _binary_t(base, op):
 
 
 def _message_passing(base):
-    """``basis_message_passing`` over ``base``'s rows as nodes, with two bases."""
+    """``basis_message_passing`` over ``base``'s rows as nodes, with two bases.
+
+    Forward runs the ``gather_combine`` and ``scatter_rows`` kernels, and
+    backward ``scatter_combine``, so the parity table covers all three.
+    """
     index = _index_for(base.shape[0])
     features = Tensor(base.copy(), requires_grad=True)
     basis_matrix = Tensor(np.concatenate([base.T, base.T * 0.5 + 0.25], axis=1),
@@ -495,6 +538,24 @@ class TestBackendParity:
             kernels = tracing.kernel_calls()
         assert kernels["kernel.gather_combine"] == 1
         assert out.shape == (4, 4)
+
+    def test_tracing_backend_records_scatter_combine_in_backward(self):
+        """One message-passing backward, all three inputs requiring grad, is
+        one ``scatter_combine`` and two row gathers (``grad[destinations]``
+        and ``P[sources]``), with no ``scatter_rows``: the feature and basis
+        gradients are GEMMs over the summed ``(N, B·out)`` projection
+        gradient, not scatters of per-edge products."""
+        with use_backend("tracing"):
+            tracing = active_backend()
+            inputs, out = _message_passing(np.arange(12.0).reshape(4, 3))
+            assert all(tensor.requires_grad for tensor in inputs)
+            tracing.reset()
+            out.sum().backward()
+            kernels = tracing.kernel_calls()
+        assert kernels["kernel.scatter_combine"] == 1
+        assert kernels["kernel.scatter_rows"] == 0
+        assert kernels["kernel.gather_rows"] == 2
+        assert all(tensor.grad is not None for tensor in inputs)
 
 
 # ----------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.subgraph.extraction import extract_enclosing_subgraph
 
-from test_scatter_and_batching import basis_sum
+from test_scatter_and_batching import assert_within_rounding, basis_sum
 from test_tensor_ops import numerical_gradient
 
 
@@ -157,14 +157,17 @@ def reference_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
 
 
 def unfused_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
-                         edge_identity=None) -> Tensor:
+                         edge_identity=None, gather_first: bool = False) -> Tensor:
     """The second oracle: the layer with its edge path unfused, bit for bit.
 
     Same scale and attention gate as :meth:`RGCNLayer.forward`, but the
-    gathered source rows, their ``(E, B·out)`` projection, its
+    ``(N, B·out)`` node projection, its gathered ``(E, B·out)`` rows, their
     ``(E, B, out)`` view and the ``(E, out)`` messages are separate tape
-    nodes before ``aggregate_messages``.  The fused node computes the same
-    arithmetic in the same order, so output and gradients match exactly.
+    nodes before ``aggregate_messages``.  This project-first chain is the
+    arithmetic of the fused node in the same order, so output and gradients
+    match exactly.  ``gather_first`` gathers the source rows before the
+    GEMM instead, the chain the node replaced, which matches to rounding
+    only (see :func:`gather_first_rgcn_forward`).
     """
     num_nodes = node_features.shape[0]
     self_message = node_features @ layer.self_weight
@@ -182,14 +185,27 @@ def unfused_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges,
     if layer.attention is not None:
         edge_weights = layer.attention_gate(
             node_features, sources, relations, destinations) * edge_weights
-    source_features = node_features.gather_rows(sources)
     coeff = layer.coefficients.gather_rows(relations) * edge_weights
     basis_matrix = (layer.basis.reshape(bases, layer.in_dim, layer.out_dim)
                     .transpose(1, 0, 2).reshape(layer.in_dim, bases * layer.out_dim))
-    projected = (source_features @ basis_matrix).reshape(num_edges, bases, layer.out_dim)
-    messages = basis_sum(projected, coeff)
+    if gather_first:
+        projected = node_features.gather_rows(sources) @ basis_matrix
+    else:
+        projected = (node_features @ basis_matrix).gather_rows(sources)
+    messages = basis_sum(projected.reshape(num_edges, bases, layer.out_dim), coeff)
     aggregated = aggregate_messages(messages, destinations, num_nodes)
     return (self_message + aggregated + layer.bias).relu()
+
+
+def gather_first_rgcn_forward(layer: RGCNLayer, node_features: Tensor, edges) -> Tensor:
+    """The unfused edge path with the source rows gathered before the GEMM.
+
+    BLAS blocks a GEMM by its row count, so ``X[src] @ W`` and
+    ``(X @ W)[src]`` can differ in the last bits, and this chain's backward
+    sums the edges after its GEMMs instead of before; the layer matches it
+    to rounding.
+    """
+    return unfused_rgcn_forward(layer, node_features, edges, gather_first=True)
 
 
 def _run_layer(forward, layer: RGCNLayer, features, edges, cotangent):
@@ -255,7 +271,7 @@ class TestRGCNEdgePath:
     @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
     def test_bit_identical_to_unfused_edge_path(self, use_attention, dropout, wide):
         """Output, input gradient and every parameter gradient equal the
-        unfused edge path exactly."""
+        unfused project-first edge path exactly."""
         layer, features, edges, cotangent = _edge_path_case(use_attention, dropout, wide)
         out, x_grad, grads = _run_layer(RGCNLayer.forward, layer, features, edges, cotangent)
         ref_out, ref_x_grad, ref_grads = _run_layer(unfused_rgcn_forward, layer, features,
@@ -265,6 +281,21 @@ class TestRGCNEdgePath:
         assert grads.keys() == ref_grads.keys()
         for name in ref_grads:
             np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
+    def test_matches_gather_first_edge_path(self, use_attention, dropout, wide):
+        """Output, input gradient and every parameter gradient equal the
+        gather-first edge path to ``1e-12`` of each array's largest value."""
+        layer, features, edges, cotangent = _edge_path_case(use_attention, dropout, wide)
+        out, x_grad, grads = _run_layer(RGCNLayer.forward, layer, features, edges, cotangent)
+        ref_out, ref_x_grad, ref_grads = _run_layer(gather_first_rgcn_forward, layer,
+                                                    features, edges, cotangent)
+        assert_within_rounding(out, ref_out)
+        assert_within_rounding(x_grad, ref_x_grad)
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            assert_within_rounding(grads[name], ref_grads[name], err_msg=name)
 
     def test_tape_keeps_no_per_edge_feature_arrays(self):
         """No tape tensor of a training-mode layer has one row per edge and

@@ -13,6 +13,7 @@ flush/request faults, and across both transports.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -28,7 +29,7 @@ from repro.eval.ranking import candidate_rng, filtered_candidates
 from repro.kg.triple import Triple
 from repro.registry import build_model, model_names, registered_models
 from repro.resilience import install_fault_plan, reset_fault_state
-from repro.serving import (CoalescerClosed, InProcessClient, ReplicaDied,
+from repro.serving import (CoalescerClosed, InProcessClient, InvalidRequest, ReplicaDied,
                            RequestCoalescer, ScoringService, ServiceOverloaded,
                            ServingError, SocketClient, handle_request, serve,
                            wait_until_serving)
@@ -238,22 +239,152 @@ class TestServingFaults:
 
 
 def test_bad_request_fails_alone_in_a_fused_flush():
-    """An out-of-range request fused with good ones fails only itself: the
+    """A request that fails inside a fused flush fails only itself: the
     group re-runs one request at a time, and the good requests get the
-    scores of a direct ``score_many`` call, bit for bit."""
+    scores of a direct ``score_many`` call, bit for bit.
+
+    ``ScoringService.submit`` refuses an out-of-range id before queueing
+    it, so the bad request enters the service's coalescer directly, as a
+    request that passes validation and still fails in the model would."""
     graph = build_benchmark("fb15k-237", "EQ", seed=0, scale=0.2).split.evaluation_graph()
     model = build_model("TransE", num_entities=graph.num_entities,
                         num_relations=graph.num_relations, embedding_dim=8, seed=0)
     good = [Triple(0, 0, 1), Triple(2, 1, 3)]
-    requests = [good[:1], [Triple(0, 0, 10 ** 6)], good[1:]]
     with ScoringService({"TransE": model}, graph, max_wait_ms=50.0) as service:
-        futures = [service.submit("TransE", request) for request in requests]
+        with pytest.raises(InvalidRequest):
+            service.submit("TransE", [Triple(0, 0, 10 ** 6)])
+        futures = [service.submit("TransE", good[:1]),
+                   service._coalescer.submit("TransE", [Triple(0, 0, 10 ** 6)]),
+                   service.submit("TransE", good[1:])]
         with pytest.raises(IndexError):
             futures[1].result(timeout=10)
         assert futures[0].result(timeout=10) == [float(s) for s in model.score_many(good[:1])]
         assert futures[2].result(timeout=10) == [float(s) for s in model.score_many(good[1:])]
         stats = service.stats()["coalescer"]
     assert stats["split_groups"] == 1
+
+
+# --------------------------------------------------------------------- #
+# request validation: malformed ids are refused before the coalescer
+# --------------------------------------------------------------------- #
+#: Stands for the first id past the served graph's vocabulary.
+PAST_VOCAB = object()
+
+BAD_IDS = [
+    pytest.param("head", True, id="bool-head"),
+    pytest.param("head", np.bool_(True), id="numpy-bool-head"),
+    pytest.param("head", 1.7, id="float-head"),
+    pytest.param("tail", np.float64(2.0), id="numpy-float-tail"),
+    pytest.param("head", "3", id="string-head"),
+    pytest.param("tail", None, id="none-tail"),
+    pytest.param("relation", -1, id="negative-relation"),
+    pytest.param("head", -1, id="negative-head"),
+    pytest.param("relation", PAST_VOCAB, id="relation-past-vocab"),
+    pytest.param("tail", PAST_VOCAB, id="tail-past-vocab"),
+]
+
+
+@pytest.fixture(scope="module")
+def transe_service():
+    """TransE on fb15k-237 EQ at scale 0.2, served with a relaxed budget."""
+    graph = build_benchmark("fb15k-237", "EQ", seed=0, scale=0.2).split.evaluation_graph()
+    model = build_model("TransE", num_entities=graph.num_entities,
+                        num_relations=graph.num_relations, embedding_dim=8, seed=0)
+    service = ScoringService({"TransE": model}, graph, max_wait_ms=1.0)
+    yield service
+    service.close()
+
+
+def _bad_triple(graph, field, value):
+    triple = {"head": 0, "relation": 0, "tail": 1}
+    if value is PAST_VOCAB:
+        value = graph.num_relations if field == "relation" else graph.num_entities
+    triple[field] = value
+    return triple
+
+
+@pytest.mark.parametrize("op", ["score", "score_many", "rank", "rank_candidate"])
+@pytest.mark.parametrize("field,value", BAD_IDS)
+def test_malformed_ids_are_refused_before_the_coalescer(transe_service, op, field, value):
+    """A bool, float, string or out-of-vocabulary id raises ``InvalidRequest``
+    from every scoring op, nothing reaches a flush, and the error is counted."""
+    service = transe_service
+    bad = _bad_triple(service.graph, field, value)
+    wire = [bad["head"], bad["relation"], bad["tail"]]
+    flushes = service.coalescer_stats()["flushes"]
+    errors = service.stats()["errors"]
+    with pytest.raises(InvalidRequest, match=field):
+        if op == "score":
+            service.score("TransE", bad["head"], bad["relation"], bad["tail"])
+        elif op == "score_many":
+            service.score_many("TransE", [(0, 0, 1), wire])
+        elif op == "rank":
+            service.rank("TransE", wire, [(0, 0, 2)])
+        else:
+            service.rank("TransE", (0, 0, 1), [(0, 0, 2), wire])
+    assert service.coalescer_stats()["flushes"] == flushes
+    assert service.stats()["errors"] == errors + 1
+
+
+def test_numpy_integer_ids_score_like_python_ints(transe_service):
+    model = transe_service._models["TransE"]
+    direct = [float(s) for s in model.score_many([Triple(2, 1, 3)])]
+    assert transe_service.score("TransE", np.int64(2), np.int32(1), np.uint8(3)) == direct[0]
+    assert transe_service.score_many("TransE", [np.array([2, 1, 3])]) == direct
+
+
+def test_malformed_triple_shapes_are_refused(transe_service):
+    for triples in ([(0, 1)], [(0, 0, 1, 2)], [5], 7):
+        with pytest.raises(InvalidRequest):
+            transe_service.score_many("TransE", triples)
+
+
+def test_daemon_answers_invalid_code_for_malformed_ids(serving_dataset):
+    """Raw JSON over the socket: the daemon passes ids through uncoerced,
+    answers ``"code": "invalid"`` and keeps serving the connection.  The
+    socket client sends numpy integers as JSON integers and floats as they
+    are, so the daemon sees them uncoerced too."""
+    graph = serving_dataset.split.evaluation_graph()
+    models = {"TransE": build_model("TransE", num_entities=graph.num_entities,
+                                    num_relations=graph.num_relations,
+                                    embedding_dim=8, seed=0)}
+    service = ScoringService(models, graph, max_wait_ms=1.0)
+    server = serve(service, port=0)
+    host, port = server.server_address
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.02}, daemon=True)
+    thread.start()
+    wait_until_serving(host, port)
+    requests = [
+        {"op": "score", "model": "TransE", "head": True, "relation": 0, "tail": 1},
+        {"op": "score", "model": "TransE", "head": 1.7, "relation": 0, "tail": 1},
+        {"op": "score_many", "model": "TransE", "triples": [[0, -1, 1]]},
+        {"op": "rank", "model": "TransE", "triple": ["3", 0, 1], "candidates": [[0, 0, 2]]},
+        {"op": "score", "model": "TransE", "head": 2, "relation": 1, "tail": 3},
+    ]
+    try:
+        with socket.create_connection((host, port), timeout=30) as connection:
+            reader = connection.makefile("r", encoding="utf-8")
+            responses = []
+            for request in requests:
+                connection.sendall((json.dumps(request) + "\n").encode("utf-8"))
+                responses.append(json.loads(reader.readline()))
+            reader.close()
+        with SocketClient(host, port) as client:
+            numpy_ids = client.score("TransE", np.int64(2), np.int32(1), np.uint8(3))
+            with pytest.raises(ServingError, match="invalid"):
+                client.score_many("TransE", [(2, 1, 3.0)])
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+    for response in responses[:-1]:
+        assert response["ok"] is False
+        assert response["code"] == "invalid"
+        assert response["error"].startswith("invalid: ")
+    direct = float(models["TransE"].score_many([Triple(2, 1, 3)])[0])
+    assert responses[-1] == {"ok": True, "result": direct}
+    assert numpy_ids == direct
 
 
 # --------------------------------------------------------------------- #
