@@ -141,7 +141,7 @@ class EvalConfig:
     workers: int = 1
     """Worker processes for evaluation sharding.  ``1`` ranks in-process;
     ``N > 1`` splits the (triple, form) work list into contiguous shards and
-    fans them out over ``N`` spawned processes, each holding its own model
+    fans them out over ``N`` worker processes, each holding its own model
     replica.  Results are bit-identical across worker counts."""
 
     shard_timeout: Optional[float] = 300.0

@@ -183,7 +183,7 @@ class Evaluator:
     workers:
         Default number of worker processes for :meth:`evaluate` (overridable
         per call).  ``1`` ranks in-process; ``N > 1`` shards the work list
-        across ``N`` spawned processes with per-worker model replicas.
+        across ``N`` worker processes with per-worker model replicas.
     """
 
     def __init__(self, dataset: BenchmarkDataset, forms: Sequence[str] = ("head", "tail"),
@@ -258,7 +258,7 @@ class Evaluator:
 
         ``model`` must provide ``set_context(graph)`` and ``score_many(triples)``.
         With ``workers > 1`` the (triple, form) work list is split into
-        contiguous shards ranked by spawned worker processes, each holding its
+        contiguous shards ranked by worker processes, each holding its
         own replica of ``model`` (rebuilt from a checkpoint byte round-trip
         for DEKG-ILP, a pickle otherwise); metrics are bit-identical to the
         in-process path for any worker count.  Shard execution is supervised

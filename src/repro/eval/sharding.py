@@ -55,12 +55,16 @@ attempts — or every shard left once all workers are written off as hung —
 runs in-process on a parent-side replica.  Because shard results are
 deterministic, every recovery path yields metrics bit-identical to the
 failure-free run; the ordered reduce is untouched.  ``KeyboardInterrupt``
-terminates the pool (no leaked spawn workers) and reports partial progress
+terminates the pool (no leaked workers) and reports partial progress
 before re-raising.
 
-The ``spawn`` start method is used unconditionally: it is the only method
-available everywhere, and it guarantees workers import a fresh interpreter
-instead of inheriting arbitrary parent state via fork.
+Workers are forked from a ``forkserver`` where the platform has one, and
+spawned otherwise (:data:`repro.resilience.supervisor.START_METHOD`).  The
+server is a fresh interpreter that imports :data:`WORKER_PRELOAD` once per
+process, so each evaluation's workers start with numpy, ``scipy.sparse``
+and the model code already loaded instead of importing them again; of the
+parent's state they get only its environment.  Each evaluation still
+creates its own pool and terminates it before returning.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def __getattr__(name: str):
 
 
 def make_model_spec(model) -> ReplicaSpec:
-    """Serialize ``model`` into a spec a spawned worker can rebuild from.
+    """Serialize ``model`` into a spec a worker process can rebuild from.
 
     Checkpointable models go through the persistence checkpoint (exact
     parameter round-trip, no autodiff closures); everything else must
@@ -272,6 +276,14 @@ def _ensure_worker_state(index: int, attempt: int):
     return _WORKER_STATE
 
 
+#: Modules the fork server imports once per process, so that shard workers
+#: start with them loaded: numpy, ``scipy.sparse`` (imported by the first
+#: message-passing kernel call) and the repro modules a worker unpickles and
+#: runs.  Never ``__main__``: the server would run the caller's script.
+WORKER_PRELOAD = ("numpy", "scipy.sparse", "repro.eval.sharding",
+                  "repro.core.model", "repro.baselines")
+
+
 def _run_shard(index: int, bounds: Tuple[int, int], attempt: int) -> EvaluationResult:
     """Rank one shard.  ``REPRO_FAULTS`` specs at site ``shard`` fire here."""
     model, workload = _ensure_worker_state(index, attempt)
@@ -298,7 +310,7 @@ def evaluate_sharded(model, workload: ShardWorkload, context_graph: KnowledgeGra
     left-to-right merge yields rank lists identical to a sequential run even
     when shards were recovered.  ``on_interrupt(completed, total)`` observes
     partial progress when the run is interrupted (the pool is always torn
-    down; spawned workers never leak).
+    down; workers never leak).
     """
     workers = min(workers, workload.num_items)
 
@@ -344,7 +356,8 @@ def evaluate_sharded(model, workload: ShardWorkload, context_graph: KnowledgeGra
 
     supervisor = SupervisedPool(processes=workers, initializer=_init_worker,
                                 initargs=(spec, workload, graph_ref),
-                                policy=policy, resources=resources)
+                                policy=policy, resources=resources,
+                                preload=WORKER_PRELOAD)
     partials = supervisor.run(_run_shard, bounds, run_in_process,
                               on_event=on_event, on_interrupt=on_interrupt)
     return reduce(lambda left, right: left.merge(right), partials)

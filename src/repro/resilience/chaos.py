@@ -61,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.faults != "env":
-        # Through the environment, not install_fault_plan: spawn workers
-        # inherit the variable, and they are where shard faults fire.
+        # Through the environment, not install_fault_plan: pool workers get
+        # the caller's environment, and they are where shard faults fire.
         os.environ[faults.ENV_VAR] = args.faults
 
     from repro.core.config import ModelConfig
@@ -85,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     baseline = evaluator.evaluate(model, test_triples=triples).summary()
 
     # Chaotic sharded run: defer to the environment again so the armed plan
-    # is live in the parent's supervisor and every spawned worker.
+    # is live in the parent's supervisor and every worker.
     faults.reset_fault_state()
     events: List[TaskEvent] = []
     chaotic = evaluator.evaluate(model, test_triples=triples,

@@ -29,8 +29,9 @@ schedules work.  Retries carry an incremented attempt number, which is how a
 faulted unit recovers — a spec fires on attempt 0 unless it names another
 attempt explicitly.
 
-``REPRO_FAULTS`` is inherited by spawned worker processes through the
-environment, so a single variable arms the whole process tree.  The hooks
+``REPRO_FAULTS`` reaches pool workers through the environment (each gets
+the caller's environment as it is when its pool starts), so a single
+variable arms the whole process tree.  The hooks
 (:func:`fire`, :func:`mangle`) are no-ops costing one dict lookup when no
 plan is active.
 """
@@ -150,8 +151,8 @@ def install_fault_plan(plan) -> None:
 
     ``None`` disables fault injection for this process even if
     ``REPRO_FAULTS`` is set; :func:`reset_fault_state` restores deference to
-    the environment.  Installation is process-local: spawned workers read
-    their own environment, so cross-process plans go through ``REPRO_FAULTS``.
+    the environment.  Installation is process-local: workers read their own
+    environment, so cross-process plans go through ``REPRO_FAULTS``.
     """
     global _installed
     if isinstance(plan, str):

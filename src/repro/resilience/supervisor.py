@@ -27,9 +27,21 @@ an async dispatch loop that supervises every task individually:
 * **clean interruption** — ``KeyboardInterrupt`` terminates the pool (hung
   and healthy workers alike; nothing leaks), reports partial progress
   through ``on_interrupt``, and re-raises;
+* **an unstartable pool degrades too** — workers that die before starting
+  any task (a caller script without an ``if __name__ == "__main__":``
+  guard re-runs itself in every worker, which then dies while
+  bootstrapping, and the pool respawns it forever) are counted; after
+  ``processes`` such deaths with no task started the pool is torn down and
+  the run completes in-process with a ``RuntimeWarning``;
+* **preloaded workers** — where the platform has a ``forkserver``, workers
+  are forked from a server that imported the caller's ``preload`` modules
+  once per process, instead of each booting an interpreter and importing
+  them again (``spawn`` remains where there is no fork server); every
+  worker runs with the caller's environment as it was when the pool
+  started;
 * **a BLAS thread budget** — workers compute at the same time, so each one
-  starts with ``max(1, usable_cores() // processes)`` BLAS/OpenMP threads
-  instead of one per core (see :func:`_worker_thread_budget`).
+  runs one BLAS/OpenMP thread instead of one per core (see
+  :func:`_worker_thread_budget`).
 
 Results are collected into a list indexed by task order, so callers reduce
 them exactly as they would a ``pool.map`` return — recovered runs are
@@ -38,8 +50,11 @@ bit-identical to failure-free ones as long as tasks are deterministic.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -49,6 +64,11 @@ from repro.resilience.faults import fire
 
 #: Sentinel distinguishing "no result yet" from a legitimate None result.
 _PENDING = object()
+
+#: How pools start their workers: forked from a preloaded server where the
+#: platform has one (Linux, macOS), else a fresh interpreter each (Windows).
+START_METHOD = ("forkserver" if "forkserver" in multiprocessing.get_all_start_methods()
+                else "spawn")
 
 #: Thread-count variables read by the BLAS/OpenMP runtimes numpy may load.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -77,31 +97,69 @@ def worker_pids(pool) -> set:
 
 
 @contextmanager
-def _worker_thread_budget(processes: int):
-    """Give spawn workers started inside this block a BLAS thread budget.
+def _worker_thread_budget():
+    """Give workers started inside this block one BLAS thread each.
 
-    Every worker would otherwise start one BLAS thread per core, so
-    ``processes`` concurrent workers oversubscribe the machine by that
-    factor.  The budget ``max(1, usable_cores() // processes)`` goes into
-    :data:`THREAD_VARIABLES` of the parent's environment for the duration
-    of the block, because a spawn child inherits the environment at exec
-    and loads OpenBLAS while it unpickles its initializer arguments, before
-    any initializer code runs; workers the pool respawns inside the block
-    inherit it too.  The parent loaded its BLAS long ago, so its own thread
-    count is unaffected.  If the user set any of the variables, none is
-    touched.
+    Concurrent workers would otherwise each start one BLAS thread per core.
+    The budget goes into :data:`THREAD_VARIABLES` of the parent's
+    environment for the duration of the block.  BLAS reads them once, when
+    numpy loads it: under ``forkserver`` in the server, which the process's
+    first pool starts and whose thread count every later worker inherits,
+    whatever its pool's size (hence one thread, not a share of the cores);
+    under ``spawn`` in each worker, respawned ones included.  The parent's
+    own BLAS, loaded long ago, keeps its thread count.  If the user set any
+    of the variables, none is touched; under ``forkserver`` their values,
+    too, count as they were when the server started.
     """
     if any(name in os.environ for name in THREAD_VARIABLES):
         yield
         return
-    budget = str(max(1, usable_cores() // processes))
     for name in THREAD_VARIABLES:
-        os.environ[name] = budget
+        os.environ[name] = "1"
     try:
         yield
     finally:
         for name in THREAD_VARIABLES:
             os.environ.pop(name, None)
+
+
+@contextmanager
+def _server_import_path():
+    """Give a fork server started inside this block the parent's ``sys.path``.
+
+    CPython 3.10 and 3.11's ``forkserver.main`` never applies the
+    ``sys_path`` it is handed and swallows each preload's ``ImportError``,
+    so a package found only through an entry added to ``sys.path`` at run
+    time (an uninstalled checkout, perfbench) would silently not be
+    preloaded.  The server's interpreter reads ``PYTHONPATH`` when it
+    starts instead.
+    """
+    previous = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(str(entry) for entry in sys.path)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("PYTHONPATH", None)
+        else:
+            os.environ["PYTHONPATH"] = previous
+
+
+def _worker_context(preload: Sequence[str]):
+    """The context a pool starts its workers from, its fork server running.
+
+    The server is started at most once per process (again only if it died),
+    with the environment of the caller's first pool.  It imports
+    ``preload`` then; the list passed by later pools is ignored.
+    """
+    context = get_context(START_METHOD)
+    if START_METHOD == "forkserver":
+        from multiprocessing import forkserver  # not paid by `import repro`
+
+        context.set_forkserver_preload(list(preload))
+        with _server_import_path():
+            forkserver.ensure_running()
+    return context
 
 
 @dataclass(frozen=True)
@@ -143,7 +201,9 @@ class RetryPolicy:
 class TaskEvent:
     """One supervision event (failure, recovery, degradation) for reporting."""
 
-    kind: str       #: "error" | "timeout" | "worker-died" | "fallback" | "retry"
+    #: "error" | "timeout" | "worker-died" | "fallback" | "retry" |
+    #: "pool-unstartable" (index -1: the pool as a whole)
+    kind: str
     index: int
     attempt: int
     detail: str = ""
@@ -163,10 +223,18 @@ class _InFlight:
 _CHANNEL = None
 
 
-def _supervised_init(channel, initializer, initargs) -> None:
-    """Pool initializer wrapper: stash the start channel, run the user's."""
+def _supervised_init(channel, environment, initializer, initargs) -> None:
+    """Pool initializer wrapper: install the caller's environment, stash the
+    start channel, run the user's.
+
+    A forked worker inherits the fork server's environment, fixed when the
+    server started; ``environment`` is the caller's at this pool's start,
+    so a ``REPRO_FAULTS`` plan armed since then still fires.
+    """
     global _CHANNEL
     _CHANNEL = channel
+    os.environ.clear()
+    os.environ.update(environment)
     if initializer is not None:
         initializer(*initargs)
 
@@ -182,26 +250,39 @@ def _supervised_call(func, index: int, payload, attempt: int):
 # parent side
 # --------------------------------------------------------------------- #
 class SupervisedPool:
-    """Run tasks across a spawn pool under a :class:`RetryPolicy`.
+    """Run tasks across a worker pool under a :class:`RetryPolicy`.
 
     ``initializer``/``initargs`` build per-worker state exactly as with a
     plain ``multiprocessing.Pool`` (they rerun when a dead worker is
     respawned, so replicas self-heal).  ``func(index, payload, attempt)``
     must be a picklable module-level callable returning a deterministic
     result for a given ``(index, payload)``.
+
+    Each :meth:`run` creates its pool and terminates it before returning,
+    so no worker outlives a run.  Workers start by :data:`START_METHOD`.
+    Under ``forkserver`` the process's first run starts the server, which
+    imports ``preload`` (module names; never ``"__main__"``, which would
+    run the caller's script in the server) and stays up, idle, until this
+    process exits; later runs fork their workers from it.  Each worker
+    runs with the caller's ``os.environ`` as it was when its pool started,
+    plus the thread budget, but numpy's BLAS thread count and anything
+    else a preloaded module read at import are fixed by the environment
+    the server started with.
     """
 
     def __init__(self, processes: int,
                  initializer: Optional[Callable] = None,
                  initargs: Tuple = (),
                  policy: Optional[RetryPolicy] = None,
-                 resources: Sequence[Any] = ()):
+                 resources: Sequence[Any] = (),
+                 preload: Sequence[str] = ()):
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = processes
         self.initializer = initializer
         self.initargs = initargs
         self.policy = policy or RetryPolicy()
+        self.preload = tuple(preload)
         self.events: List[TaskEvent] = []
         #: Shared resources (objects with ``release()``, e.g. shm
         #: :class:`~repro.shm.PageHandle` pages) whose lifecycle this pool
@@ -238,8 +319,6 @@ class SupervisedPool:
             results: List[Any] = [_PENDING] * total
             if total == 0:
                 return []
-            context = get_context("spawn")
-            channel = context.SimpleQueue()
 
             def record(kind: str, index: int, attempt: int, detail: str = "") -> TaskEvent:
                 event = TaskEvent(kind=kind, index=index, attempt=attempt, detail=detail)
@@ -249,18 +328,21 @@ class SupervisedPool:
                 return event
 
             try:
-                with _worker_thread_budget(self.processes):
+                with _worker_thread_budget():
+                    environment = dict(os.environ)
+                    context = _worker_context(self.preload)
+                    channel = context.SimpleQueue()
                     pool = context.Pool(processes=self.processes,
                                         initializer=_supervised_init,
-                                        initargs=(channel, self.initializer,
-                                                  self.initargs))
+                                        initargs=(channel, environment,
+                                                  self.initializer, self.initargs))
                     try:
                         self._supervise(pool, channel, func, payloads,
                                         results, fallback, record)
                     finally:
                         # terminate(), not close(): hung workers never drain
-                        # a task queue, and a killed run must not leak spawn
-                        # children.  join() also stops the pool's respawns.
+                        # a task queue, and a killed run must not leak
+                        # workers.  join() also stops the pool's respawns.
                         pool.terminate()
                         pool.join()
             except KeyboardInterrupt:
@@ -295,6 +377,10 @@ class SupervisedPool:
         #: Timed-out attempts whose worker pid was never learned; each costs
         #: one slot of assumed capacity.
         anonymous_losses = 0
+        #: Whether any worker announced a task this run, and how many
+        #: workers died before one did (startup failures).
+        announced = False
+        startup_deaths = 0
         completed = 0
         tick = 0
         known_pids = worker_pids(pool)
@@ -336,10 +422,18 @@ class SupervisedPool:
                 self._submit(pool, inflight, func, payloads, index, 0)
                 progressed = True
 
+            # Poll worker liveness before draining announcements: a worker
+            # announces before it runs a task, so every announcement of a
+            # worker found dead here is already in the channel.
+            current_pids = worker_pids(pool)
+            dead = known_pids - current_pids
+            known_pids = current_pids
+
             # Drain start announcements: map in-flight tasks to worker pids,
             # and un-lose any pid that proves itself alive again.
             while not channel.empty():
                 index, attempt, pid = channel.get()
+                announced = True
                 lost_pids.discard(pid)
                 entry = inflight.get(index)
                 if entry is not None and entry.attempt == attempt:
@@ -349,9 +443,6 @@ class SupervisedPool:
             # Dead-worker detection: a pid that vanished from the pool took
             # its in-flight task with it.  The pool respawns the worker, so
             # capacity is not decremented.
-            current_pids = worker_pids(pool)
-            dead = known_pids - current_pids
-            known_pids = current_pids
             if dead:
                 lost_pids -= dead
                 for index in [i for i, entry in inflight.items()
@@ -360,6 +451,23 @@ class SupervisedPool:
                     handle_failure(index, entry.attempt, "worker-died",
                                    f"worker pid {entry.pid} died")
                     progressed = True
+                if not announced:
+                    startup_deaths += len(dead)
+                    if startup_deaths >= self.processes:
+                        # Each respawn dies the same way, so the pool would
+                        # never start a task.  run() tears it down and
+                        # sweeps every unfinished task in-process.
+                        record("pool-unstartable", -1, 0,
+                               f"{startup_deaths} workers died before starting a task")
+                        warnings.warn(
+                            f"{startup_deaths} pool workers died before starting "
+                            "a task, so the rest of this run executes in-process. "
+                            "A script that starts worker processes must do so "
+                            "under an `if __name__ == \"__main__\":` guard: workers "
+                            "import the main module, and without the guard each "
+                            "one re-runs the script and dies.",
+                            RuntimeWarning, stacklevel=3)
+                        break
 
             # Completions and worker-raised errors.
             for index in [i for i, entry in inflight.items()

@@ -3,20 +3,26 @@
 Covers the fault-injection grammar and hooks, the atomic-write helpers, the
 supervised pool's recovery paths (error retry, timeout reassignment, attempt
 exhaustion, in-process degradation, interruption, the per-worker BLAS
-thread budget), the training resume journal, and the checkpoint-error
-chaining in ``make_model_spec``.
+thread budget, the fork server's contract, the unstartable-pool
+fallback), the training resume journal, and the checkpoint-error chaining
+in ``make_model_spec``.
 
-Pool tests use module-level task functions: ``SupervisedPool`` spawns fresh
-interpreters, so everything shipped to a worker must be importable by name.
+Pool tests use module-level task functions: ``SupervisedPool`` workers
+unpickle everything shipped to them by name, so it must be importable.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +39,11 @@ from repro.resilience import (FaultInjected, FaultPlan, RetryPolicy,
                               install_fault_plan, mangle, reset_fault_state)
 from repro.resilience import atomic as atomic_module
 from repro.resilience import supervisor as supervisor_module
-from repro.resilience.supervisor import THREAD_VARIABLES, usable_cores
+from repro.resilience.supervisor import START_METHOD, THREAD_VARIABLES
+
+#: The package root, put on a fresh interpreter's ``sys.path`` at run time
+#: (not through ``PYTHONPATH``) by the subprocess tests below.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -292,16 +302,15 @@ class TestWorkerThreadBudget:
         for name in THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
 
-    @staticmethod
-    def _budget(processes):
-        return {name: str(max(1, usable_cores() // processes))
-                for name in THREAD_VARIABLES}
+    #: One BLAS thread per worker, whatever the pool size: forked workers
+    #: share the thread count the fork server started with.
+    BUDGET = {name: "1" for name in THREAD_VARIABLES}
 
     def test_unset_variables_get_the_budget(self):
         before = dict(os.environ)
         pool = SupervisedPool(processes=2, policy=RetryPolicy(**_FAST))
         reports = pool.run(_thread_report, [0, 1, 2], _no_fallback)
-        assert reports == [self._budget(2)] * 3
+        assert reports == [self.BUDGET] * 3
         assert dict(os.environ) == before
 
     def test_user_setting_reaches_workers_unchanged(self, monkeypatch):
@@ -321,16 +330,20 @@ class TestWorkerThreadBudget:
         with pytest.raises(RuntimeError, match="fell back"):
             failing.run(_thread_report_then_fail, [0], _no_fallback)
         errors = [event for event in failing.events if event.kind == "error"]
-        assert json.dumps(self._budget(2)) in errors[0].detail
+        assert json.dumps(self.BUDGET) in errors[0].detail
         assert dict(os.environ) == before
 
         # A pool that fails to start: the budget was in place for it, and
         # is gone again afterwards.
         seen = []
-        real_context = supervisor_module.get_context("spawn")
+        real_context = supervisor_module.get_context(START_METHOD)
 
         class _Unstartable:
             SimpleQueue = staticmethod(real_context.SimpleQueue)
+
+            @staticmethod
+            def set_forkserver_preload(module_names):
+                pass
 
             @staticmethod
             def Pool(**kwargs):
@@ -340,7 +353,7 @@ class TestWorkerThreadBudget:
         monkeypatch.setattr(supervisor_module, "get_context", lambda _: _Unstartable)
         with pytest.raises(OSError, match="no processes left"):
             SupervisedPool(processes=2).run(_double, [1], _fallback)
-        assert seen == [self._budget(2)]
+        assert seen == [self.BUDGET]
         assert dict(os.environ) == before
 
     def test_respawned_worker_gets_the_budget(self, monkeypatch):
@@ -351,7 +364,161 @@ class TestWorkerThreadBudget:
                               policy=RetryPolicy(timeout=30.0, **_FAST))
         reports = pool.run(_thread_report, [0, 1], _no_fallback)
         assert "worker-died" in [event.kind for event in pool.events]
-        assert reports == [self._budget(1)] * 2
+        assert reports == [self.BUDGET] * 2
+
+
+# --------------------------------------------------------------------- #
+# fork-server contract
+# --------------------------------------------------------------------- #
+def _run_fresh(tmp_path, source, timeout=120.0):
+    """Run ``source`` as a script in a fresh interpreter; return its output.
+
+    ``PYTHONPATH`` is dropped, so the script finds the package only through
+    the ``sys.path`` entry it adds itself.  The script runs in its own
+    process group, which is stopped, workers included, when it outlives
+    ``timeout``.
+    """
+    script = tmp_path / "script.py"
+    script.write_text(textwrap.dedent(source).replace("SRC", repr(SRC)))
+    dropped = ("PYTHONPATH", "REPRO_FAULTS") + THREAD_VARIABLES
+    env = {key: value for key, value in os.environ.items() if key not in dropped}
+    process = subprocess.Popen([sys.executable, str(script)], cwd=tmp_path, env=env,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               text=True, start_new_session=True)
+    try:
+        stdout, stderr = process.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        # SIGTERM first: the group's resource tracker ignores it and, once
+        # the rest of the group is gone, unlinks the shared memory it left,
+        # which other tests' leak checks would otherwise trip over.
+        os.killpg(process.pid, signal.SIGTERM)
+        try:
+            process.communicate(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+        pytest.fail(f"{script.name} did not finish within {timeout:.0f}s")
+    assert process.returncode == 0, stderr
+    return stdout, stderr
+
+
+_needs_fork_server = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no fork server on this platform")
+
+
+class TestForkServer:
+    def test_workers_see_the_callers_current_fault_plan(self, monkeypatch):
+        # The fork server keeps the environment it started with.  Whichever
+        # plan that was, one of these runs would go wrong if workers kept it.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        quiet = SupervisedPool(processes=1, policy=RetryPolicy(timeout=30.0, **_FAST))
+        quiet.run(_thread_report, [0, 1], _no_fallback)
+        assert quiet.events == []
+
+        monkeypatch.setenv("REPRO_FAULTS", "shard:0:kill")
+        armed = SupervisedPool(processes=1, policy=RetryPolicy(timeout=30.0, **_FAST))
+        armed.run(_thread_report, [0, 1], _no_fallback)
+        assert "worker-died" in [event.kind for event in armed.events]
+
+    @_needs_fork_server
+    def test_workers_start_with_the_preload_imported(self, tmp_path):
+        # The worker imports the script as its main module before it
+        # unpickles anything, so LOADED lists what the server preloaded.
+        stdout, _ = _run_fresh(tmp_path, """
+            import json
+            import sys
+
+            LOADED = [name for name in ("scipy.sparse", "repro.core.model")
+                      if name in sys.modules]
+
+
+            def loaded(index, payload, attempt):
+                return LOADED
+
+
+            if __name__ == "__main__":
+                sys.path.insert(0, SRC)
+                from repro.eval.sharding import WORKER_PRELOAD
+                from repro.resilience import SupervisedPool
+
+                pool = SupervisedPool(processes=1, preload=WORKER_PRELOAD)
+                print(json.dumps(pool.run(loaded, [0], lambda index, payload: None)))
+            """)
+        assert json.loads(stdout.splitlines()[-1]) == [["scipy.sparse", "repro.core.model"]]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task (Linux)")
+    def test_worker_threads_match_the_reported_budget(self, tmp_path):
+        # A 2-worker pool starts the server, then a 1-worker pool forks
+        # from it: both must run exactly the BLAS threads they report.
+        stdout, _ = _run_fresh(tmp_path, """
+            import json
+            import os
+            import sys
+
+            import numpy as np
+
+
+            def threads(index, payload, attempt):
+                matrix = np.ones((600, 600))
+                matrix @ matrix
+                return (len(os.listdir("/proc/self/task")),
+                        os.environ.get("OPENBLAS_NUM_THREADS"))
+
+
+            if __name__ == "__main__":
+                sys.path.insert(0, SRC)
+                from repro.resilience import SupervisedPool
+
+                reports = []
+                for processes, tasks in ((2, 4), (1, 2)):
+                    pool = SupervisedPool(processes=processes)
+                    reports += pool.run(threads, list(range(tasks)),
+                                        lambda index, payload: None)
+                print(json.dumps(reports))
+            """)
+        reports = json.loads(stdout.splitlines()[-1])
+        assert len(reports) == 6
+        for count, variable in reports:
+            assert variable is not None and count == int(variable)
+
+
+class TestUnstartablePool:
+    def test_unguarded_script_completes_in_process(self, tmp_path):
+        # Without a __main__ guard every worker re-runs the script while it
+        # bootstraps and dies at the sharded call, before taking a task;
+        # the pool respawns it.  Only the parent gets past that call.
+        stdout, stderr = _run_fresh(tmp_path, """
+            import json
+            import sys
+
+            sys.path.insert(0, SRC)
+            from repro.core.config import ModelConfig
+            from repro.core.model import DEKGILP
+            from repro.datasets.benchmark import build_benchmark
+            from repro.eval.evaluator import Evaluator
+
+            dataset = build_benchmark("fb15k-237", "EQ", seed=1, scale=0.25)
+            model = DEKGILP(dataset.num_relations, seed=0,
+                            config=ModelConfig(embedding_dim=8, gnn_hidden_dim=8,
+                                               edge_dropout=0.0))
+            model.eval()
+            evaluator = Evaluator(dataset, max_candidates=5, seed=0)
+            triples = dataset.test_triples[:4]
+            events = []
+            sharded = evaluator.evaluate(model, test_triples=triples, workers=2,
+                                         on_event=events.append)
+            in_process = evaluator.evaluate(model, test_triples=triples)
+            print(json.dumps({"sharded": sharded.summary(),
+                              "in_process": in_process.summary(),
+                              "events": sorted({event.kind for event in events})},
+                             sort_keys=True))
+            """)
+        report = json.loads(stdout.splitlines()[-1])
+        assert report["sharded"] == report["in_process"]
+        assert report["events"] == ["fallback", "pool-unstartable"]
+        assert "RuntimeWarning" in stderr and "__main__" in stderr
 
 
 # --------------------------------------------------------------------- #

@@ -287,7 +287,7 @@ class TestSegmentLifecycle:
         triples = small_benchmark.test_triples[:4]
         baseline = evaluator.evaluate(tiny_dekgilp, test_triples=triples).summary()
         if faults is not None:
-            # Through the environment so spawned workers inherit the plan.
+            # Through the environment, which every pool worker gets.
             monkeypatch.setenv("REPRO_FAULTS", faults)
         try:
             sharded = evaluator.evaluate(tiny_dekgilp, test_triples=triples,
