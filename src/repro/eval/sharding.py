@@ -58,13 +58,13 @@ failure-free run; the ordered reduce is untouched.  ``KeyboardInterrupt``
 terminates the pool (no leaked workers) and reports partial progress
 before re-raising.
 
-Workers are forked from a ``forkserver`` where the platform has one, and
-spawned otherwise (:data:`repro.resilience.supervisor.START_METHOD`).  The
-server is a fresh interpreter that imports :data:`WORKER_PRELOAD` once per
-process, so each evaluation's workers start with numpy, ``scipy.sparse``
-and the model code already loaded instead of importing them again; of the
-parent's state they get only its environment.  Each evaluation still
-creates its own pool and terminates it before returning.
+Workers are forked from a ``forkserver`` on Linux, and spawned elsewhere
+(:data:`repro.resilience.supervisor.START_METHOD`).  The server is a fresh
+interpreter that imports :data:`WORKER_PRELOAD` once per process, so each
+evaluation's workers start with numpy, ``scipy.sparse`` and the model code
+already loaded instead of importing them again; of the parent's state they
+get only its environment.  Each evaluation still creates its own pool and
+terminates it before returning.
 """
 
 from __future__ import annotations
@@ -276,7 +276,8 @@ def _ensure_worker_state(index: int, attempt: int):
     return _WORKER_STATE
 
 
-#: Modules the fork server imports once per process, so that shard workers
+#: Modules the fork server of :mod:`repro.resilience.supervisor` imports
+#: once per process, for every ``SupervisedPool``, so that shard workers
 #: start with them loaded: numpy, ``scipy.sparse`` (imported by the first
 #: message-passing kernel call) and the repro modules a worker unpickles and
 #: runs.  Never ``__main__``: the server would run the caller's script.
@@ -356,8 +357,7 @@ def evaluate_sharded(model, workload: ShardWorkload, context_graph: KnowledgeGra
 
     supervisor = SupervisedPool(processes=workers, initializer=_init_worker,
                                 initargs=(spec, workload, graph_ref),
-                                policy=policy, resources=resources,
-                                preload=WORKER_PRELOAD)
+                                policy=policy, resources=resources)
     partials = supervisor.run(_run_shard, bounds, run_in_process,
                               on_event=on_event, on_interrupt=on_interrupt)
     return reduce(lambda left, right: left.merge(right), partials)

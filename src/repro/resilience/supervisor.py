@@ -33,12 +33,11 @@ an async dispatch loop that supervises every task individually:
   bootstrapping, and the pool respawns it forever) are counted; after
   ``processes`` such deaths with no task started the pool is torn down and
   the run completes in-process with a ``RuntimeWarning``;
-* **preloaded workers** — where the platform has a ``forkserver``, workers
-  are forked from a server that imported the caller's ``preload`` modules
-  once per process, instead of each booting an interpreter and importing
-  them again (``spawn`` remains where there is no fork server); every
-  worker runs with the caller's environment as it was when the pool
-  started;
+* **preloaded workers** — on Linux, workers are forked from a server that
+  imported :data:`repro.eval.sharding.WORKER_PRELOAD` once per process,
+  instead of each booting an interpreter and importing it again (``spawn``
+  remains elsewhere); every worker runs with the caller's environment as it
+  was when the pool started;
 * **a BLAS thread budget** — workers compute at the same time, so each one
   runs one BLAS/OpenMP thread instead of one per core (see
   :func:`_worker_thread_budget`).
@@ -50,7 +49,6 @@ bit-identical to failure-free ones as long as tasks are deterministic.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
@@ -65,10 +63,12 @@ from repro.resilience.faults import fire
 #: Sentinel distinguishing "no result yet" from a legitimate None result.
 _PENDING = object()
 
-#: How pools start their workers: forked from a preloaded server where the
-#: platform has one (Linux, macOS), else a fresh interpreter each (Windows).
-START_METHOD = ("forkserver" if "forkserver" in multiprocessing.get_all_start_methods()
-                else "spawn")
+#: How pools start their workers: forked from a preloaded server on Linux,
+#: else a fresh interpreter each.  macOS has a fork server too, but CPython
+#: defaults it to spawn because forking after system frameworks have loaded
+#: is unsafe, and the server loads numpy (perhaps on Accelerate) and scipy;
+#: it stays on spawn until that has been tested.
+START_METHOD = "forkserver" if sys.platform.startswith("linux") else "spawn"
 
 #: Thread-count variables read by the BLAS/OpenMP runtimes numpy may load.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -145,18 +145,20 @@ def _server_import_path():
             os.environ["PYTHONPATH"] = previous
 
 
-def _worker_context(preload: Sequence[str]):
+def _worker_context():
     """The context a pool starts its workers from, its fork server running.
 
     The server is started at most once per process (again only if it died),
-    with the environment of the caller's first pool.  It imports
-    ``preload`` then; the list passed by later pools is ignored.
+    with the environment of the caller's first pool, and then imports
+    :data:`repro.eval.sharding.WORKER_PRELOAD`.
     """
     context = get_context(START_METHOD)
     if START_METHOD == "forkserver":
         from multiprocessing import forkserver  # not paid by `import repro`
 
-        context.set_forkserver_preload(list(preload))
+        from repro.eval.sharding import WORKER_PRELOAD  # it imports this module
+
+        context.set_forkserver_preload(list(WORKER_PRELOAD))
         with _server_import_path():
             forkserver.ensure_running()
     return context
@@ -261,28 +263,25 @@ class SupervisedPool:
     Each :meth:`run` creates its pool and terminates it before returning,
     so no worker outlives a run.  Workers start by :data:`START_METHOD`.
     Under ``forkserver`` the process's first run starts the server, which
-    imports ``preload`` (module names; never ``"__main__"``, which would
-    run the caller's script in the server) and stays up, idle, until this
-    process exits; later runs fork their workers from it.  Each worker
-    runs with the caller's ``os.environ`` as it was when its pool started,
-    plus the thread budget, but numpy's BLAS thread count and anything
-    else a preloaded module read at import are fixed by the environment
-    the server started with.
+    imports :data:`repro.eval.sharding.WORKER_PRELOAD` and stays up, idle,
+    until this process exits; later runs fork their workers from it.  Each
+    worker runs with the caller's ``os.environ`` as it was when its pool
+    started, plus the thread budget, but numpy's BLAS thread count and
+    anything else a preloaded module read at import are fixed by the
+    environment the server started with.
     """
 
     def __init__(self, processes: int,
                  initializer: Optional[Callable] = None,
                  initargs: Tuple = (),
                  policy: Optional[RetryPolicy] = None,
-                 resources: Sequence[Any] = (),
-                 preload: Sequence[str] = ()):
+                 resources: Sequence[Any] = ()):
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = processes
         self.initializer = initializer
         self.initargs = initargs
         self.policy = policy or RetryPolicy()
-        self.preload = tuple(preload)
         self.events: List[TaskEvent] = []
         #: Shared resources (objects with ``release()``, e.g. shm
         #: :class:`~repro.shm.PageHandle` pages) whose lifecycle this pool
@@ -330,7 +329,7 @@ class SupervisedPool:
             try:
                 with _worker_thread_budget():
                     environment = dict(os.environ)
-                    context = _worker_context(self.preload)
+                    context = _worker_context()
                     channel = context.SimpleQueue()
                     pool = context.Pool(processes=self.processes,
                                         initializer=_supervised_init,

@@ -14,7 +14,6 @@ unpickle everything shipped to them by name, so it must be importable.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 import signal
@@ -403,8 +402,7 @@ def _run_fresh(tmp_path, source, timeout=120.0):
 
 
 _needs_fork_server = pytest.mark.skipif(
-    "forkserver" not in multiprocessing.get_all_start_methods(),
-    reason="no fork server on this platform")
+    START_METHOD != "forkserver", reason="workers are spawned on this platform")
 
 
 class TestForkServer:
@@ -439,10 +437,9 @@ class TestForkServer:
 
             if __name__ == "__main__":
                 sys.path.insert(0, SRC)
-                from repro.eval.sharding import WORKER_PRELOAD
                 from repro.resilience import SupervisedPool
 
-                pool = SupervisedPool(processes=1, preload=WORKER_PRELOAD)
+                pool = SupervisedPool(processes=1)
                 print(json.dumps(pool.run(loaded, [0], lambda index, payload: None)))
             """)
         assert json.loads(stdout.splitlines()[-1]) == [["scipy.sparse", "repro.core.model"]]
