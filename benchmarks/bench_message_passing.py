@@ -279,7 +279,10 @@ def test_subgraph_scoring_speedup():
                     int(rng.integers(graph.num_relations)),
                     int(rng.integers(graph.num_entities)))
              for _ in range(NUM_LINKS)]
-    subgraphs = [gsm.extract_pair(graph, t.head, t.tail) for t in links]
+    subgraphs = [extraction_mod.extract_enclosing_subgraph(
+                     graph, Triple(t.head, 0, t.tail), hops=HOPS,
+                     max_nodes=gsm.max_subgraph_nodes, omit_target_edge=False)
+                 for t in links]
     relations = [t.relation for t in links]
     mean_nodes = float(np.mean([s.num_nodes for s in subgraphs]))
     mean_edges = float(np.mean([s.num_edges for s in subgraphs]))

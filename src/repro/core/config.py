@@ -57,28 +57,10 @@ class ModelConfig:
     max_subgraph_nodes: int = 150
     """Safety cap on extracted subgraph size."""
 
-    subgraph_cache_policy: str = "corruption_aware"
-    """Eviction policy of the extraction cache (see
-    :mod:`repro.subgraph.provider`): ``"lru"`` (plain bounded LRU),
-    ``"adaptive"`` (LRU that grows when evicted entries are re-requested) or
-    ``"corruption_aware"`` (LRU plus pinned true-pair extractions that
-    uniformly-drawn corruptions can never evict)."""
-
     subgraph_cache_size: int = 4096
-    """Entry capacity of the extraction cache (initial capacity under the
-    adaptive policy; the LRU portion under the corruption-aware policy)."""
-
-    subgraph_cache_snapshots: int = 1
-    """Per-graph-snapshot extraction stores the provider retains.  ``1``
-    keeps only the current context's store; ``> 1`` enables cross-split
-    persistence — returning to a previously-seen context graph (train ->
-    eval -> train, shared providers across models) finds its extractions
-    still warm."""
-
-    batched_extraction: bool = True
-    """Serve extraction-cache misses through the multi-source batched BFS
-    (:func:`repro.subgraph.provider.extract_batch`); ``False`` falls back to
-    the per-pair extractor (identical subgraphs, kept for benchmarking)."""
+    """Entry capacity of the extraction cache's LRU portion; up to as many
+    true-pair extractions are pinned on top of it (see
+    :class:`repro.subgraph.provider.PinnedLRU`)."""
 
     backend: Optional[str] = None
     """Array backend the model runs on (see :mod:`repro.backend`).  ``None``
@@ -97,16 +79,8 @@ class ModelConfig:
             raise ValueError("edge_dropout must be in [0, 1)")
         if self.subgraph_hops < 1:
             raise ValueError("subgraph_hops must be >= 1")
-        from repro.subgraph.provider import cache_policy_names
-
-        if self.subgraph_cache_policy not in cache_policy_names():
-            raise ValueError(
-                f"unknown subgraph_cache_policy {self.subgraph_cache_policy!r}; "
-                f"choose from {cache_policy_names()}")
         if self.subgraph_cache_size < 1:
             raise ValueError("subgraph_cache_size must be >= 1")
-        if self.subgraph_cache_snapshots < 1:
-            raise ValueError("subgraph_cache_snapshots must be >= 1")
         if self.backend is not None:
             from repro.backend import known_backend_names
 

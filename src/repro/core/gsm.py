@@ -97,22 +97,6 @@ class GSM(Module):
     # ------------------------------------------------------------------ #
     # batched scoring
     # ------------------------------------------------------------------ #
-    def extract_pair(self, graph: KnowledgeGraph, head: int, tail: int) -> ExtractedSubgraph:
-        """Relation-agnostic extraction for the batched scorer.
-
-        The structure of an enclosing subgraph depends only on
-        ``(head, tail, hops)``, so one extraction can be cached and re-scored
-        under many candidate relations.  Target-edge removal is skipped here;
-        :meth:`score_batch` callers mask the matching edge per candidate when
-        the scored link happens to exist in the graph.
-        """
-        return extract_enclosing_subgraph(
-            graph, Triple(head, 0, tail), hops=self.hops,
-            improved_labeling=self.improved_labeling,
-            max_nodes=self.max_subgraph_nodes,
-            omit_target_edge=False,
-        )
-
     def score_batch(self, subgraphs: Sequence[ExtractedSubgraph],
                     relations: Sequence[int],
                     edges_list: Optional[Sequence[np.ndarray]] = None) -> Tensor:

@@ -32,6 +32,13 @@ from repro.registry import register_model
 from repro.subgraph.provider import SubgraphProvider, masked_edges
 
 
+#: ``ModelConfig`` fields that older checkpoints carry and restoring drops:
+#: cache-policy, snapshot-count and per-pair-extraction switches that never
+#: changed a score.
+RETIRED_CONFIG_FIELDS = ("subgraph_cache_policy", "subgraph_cache_snapshots",
+                         "batched_extraction")
+
+
 class DEKGILP(Module):
     """Disconnected Emerging KG Oriented Inductive Link Prediction model."""
 
@@ -62,21 +69,17 @@ class DEKGILP(Module):
         )
         self._context_graph: Optional[KnowledgeGraph] = None
         self._tables: Optional[RelationComponentStore] = None
-        #: Policy-driven store of relation-agnostic extractions, keyed by
+        #: Pinned-LRU store of relation-agnostic extractions, keyed by
         #: (head, tail) per CSR snapshot and shared across the three
         #: prediction forms during ranking.  Snapshot keying means in-place
         #: graph mutation and context switches can never serve a stale
-        #: extraction; `subgraph_cache_snapshots > 1` keeps stores of
-        #: previously-seen contexts warm (cross-split persistence).
+        #: extraction.
         self.subgraph_provider: Optional[SubgraphProvider] = (
             SubgraphProvider(
                 hops=self.config.subgraph_hops,
                 improved_labeling=self.config.improved_labeling,
                 max_nodes=self.config.max_subgraph_nodes,
-                policy=self.config.subgraph_cache_policy,
                 cache_size=self.config.subgraph_cache_size,
-                snapshots=self.config.subgraph_cache_snapshots,
-                batched=self.config.batched_extraction,
             )
             if self.config.use_topological
             else None
@@ -252,7 +255,7 @@ class DEKGILP(Module):
         if self.gsm is not None:
             self.gsm.set_dropout_epoch(epoch)
 
-    def subgraph_cache_stats(self) -> Dict[str, object]:
+    def subgraph_cache_stats(self) -> Dict[str, float]:
         """Extraction-cache counters at both scopes, plus the derived rates.
 
         The historical ``hits`` / ``misses`` / ``hit_rate`` keys are the
@@ -270,8 +273,7 @@ class DEKGILP(Module):
                     "lifetime_hits": 0.0, "lifetime_misses": 0.0,
                     "lifetime_hit_rate": nan, "context_hits": 0.0,
                     "context_misses": 0.0, "context_hit_rate": nan,
-                    "context_switches": 0.0, "entries": 0.0, "capacity": 0.0,
-                    "policy": "none", "stores": 0.0}
+                    "context_switches": 0.0, "entries": 0.0, "capacity": 0.0}
         return self.subgraph_provider.stats()
 
     def reset_subgraph_cache_stats(self) -> None:
@@ -314,8 +316,10 @@ class DEKGILP(Module):
     def from_checkpoint(cls, header: Dict[str, object],
                         arrays: Dict[str, np.ndarray]) -> "DEKGILP":
         init = header["init"]
+        config = {key: value for key, value in init["config"].items()
+                  if key not in RETIRED_CONFIG_FIELDS}
         model = cls(int(init["num_relations"]),
-                    config=ModelConfig(**init["config"]), seed=init["seed"])
+                    config=ModelConfig(**config), seed=init["seed"])
         model.load_state_dict(dict(arrays))
         model.eval()
         return model

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.trainer import Trainer, TrainingHistory
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
+from repro.kg.triple import Triple, checked_id
 
 EntityRef = Union[int, str]
 RelationRef = Union[int, str]
@@ -118,44 +118,55 @@ class LinkPredictionPipeline:
     # ------------------------------------------------------------------ #
     # reference resolution
     # ------------------------------------------------------------------ #
-    def _entity_id(self, entity: EntityRef) -> int:
+    def _entity_id(self, entity: EntityRef, field: str) -> int:
+        """A name through the vocabulary, an id through :func:`checked_id`."""
         if isinstance(entity, str):
             if self._vocabulary is None:
                 raise ValueError("graph has no vocabulary; pass integer entity ids")
             return self._vocabulary.entity_id(entity)
-        return int(entity)
+        return checked_id(entity, self._bound_context().num_entities, field)
 
     def _relation_id(self, relation: RelationRef) -> int:
         if isinstance(relation, str):
             if self._vocabulary is None:
                 raise ValueError("graph has no vocabulary; pass integer relation ids")
             return self._vocabulary.relation_id(relation)
-        return int(relation)
+        return checked_id(relation, self._bound_context().num_relations, "relation")
 
     def _entity_name(self, entity_id: int) -> Optional[str]:
         if self._vocabulary is None:
             return None
         return self._vocabulary.entity_name(entity_id)
 
-    def _candidate_entities(self) -> List[int]:
+    def _bound_context(self) -> KnowledgeGraph:
         if self._context is None:
             raise RuntimeError("call fit() (or update_emerging) before querying")
-        return self._context.entities()
+        return self._context
+
+    def _candidate_entities(self) -> List[int]:
+        return self._bound_context().entities()
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def score(self, head: EntityRef, relation: RelationRef, tail: EntityRef) -> float:
-        """Score one candidate fact."""
-        triple = Triple(self._entity_id(head), self._relation_id(relation), self._entity_id(tail))
+        """Score one candidate fact.
+
+        Integer ids must index the bound context graph: a bool, non-integer,
+        negative or out-of-vocabulary id raises
+        :class:`~repro.kg.triple.InvalidTriple`, here and in every
+        ``predict_*`` query (candidates included).
+        """
+        triple = Triple(self._entity_id(head, "head"), self._relation_id(relation),
+                        self._entity_id(tail, "tail"))
         return self.model.score(triple)
 
     def predict_tail(self, head: EntityRef, relation: RelationRef, k: int = 10,
                      candidates: Optional[Sequence[EntityRef]] = None) -> List[Prediction]:
         """Rank tails for ``(head, relation, ?)`` and return the top ``k``."""
-        head_id = self._entity_id(head)
+        head_id = self._entity_id(head, "head")
         relation_id = self._relation_id(relation)
-        candidate_ids = ([self._entity_id(c) for c in candidates]
+        candidate_ids = ([self._entity_id(c, "candidate") for c in candidates]
                          if candidates is not None else self._candidate_entities())
         triples = [Triple(head_id, relation_id, tail) for tail in candidate_ids if tail != head_id]
         return self._rank(triples, k)
@@ -163,17 +174,17 @@ class LinkPredictionPipeline:
     def predict_head(self, relation: RelationRef, tail: EntityRef, k: int = 10,
                      candidates: Optional[Sequence[EntityRef]] = None) -> List[Prediction]:
         """Rank heads for ``(?, relation, tail)`` and return the top ``k``."""
-        tail_id = self._entity_id(tail)
+        tail_id = self._entity_id(tail, "tail")
         relation_id = self._relation_id(relation)
-        candidate_ids = ([self._entity_id(c) for c in candidates]
+        candidate_ids = ([self._entity_id(c, "candidate") for c in candidates]
                          if candidates is not None else self._candidate_entities())
         triples = [Triple(head, relation_id, tail_id) for head in candidate_ids if head != tail_id]
         return self._rank(triples, k)
 
     def predict_relation(self, head: EntityRef, tail: EntityRef, k: int = 5) -> List[Prediction]:
         """Rank relations for ``(head, ?, tail)`` and return the top ``k``."""
-        head_id = self._entity_id(head)
-        tail_id = self._entity_id(tail)
+        head_id = self._entity_id(head, "head")
+        tail_id = self._entity_id(tail, "tail")
         triples = [Triple(head_id, relation, tail_id)
                    for relation in range(self.original.num_relations)]
         return self._rank(triples, k, name_relations=True)

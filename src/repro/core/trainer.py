@@ -105,9 +105,9 @@ class Trainer:
     Subgraph extraction goes through the model's
     :class:`~repro.subgraph.provider.SubgraphProvider`: cache misses of a
     batch are extracted in one multi-source BFS sweep, and the training
-    positives' ``(head, tail)`` pairs are pinned up front so a
-    corruption-aware cache policy keeps their extractions resident while the
-    uniformly-drawn corruptions churn through the LRU portion.
+    positives' ``(head, tail)`` pairs are pinned up front so the cache keeps
+    their extractions resident while the uniformly-drawn corruptions churn
+    through its LRU portion.
     """
 
     def __init__(self, model: DEKGILP, train_graph: KnowledgeGraph,
@@ -132,8 +132,7 @@ class Trainer:
         self.history = TrainingHistory()
         if self.model.subgraph_provider is not None:
             # Every training triple is a positive in every epoch; pinning its
-            # extraction (honoured by the corruption-aware policy, a no-op
-            # otherwise) keeps the recurring half of the workload warm.
+            # extraction keeps the recurring half of the workload warm.
             self.model.subgraph_provider.pin_pairs(
                 train_graph, {(t.head, t.tail) for t in train_graph.triples})
 

@@ -21,7 +21,7 @@ from repro.core.config import EvalConfig
 from repro.datasets.benchmark import BenchmarkDataset
 from repro.eval.metrics import RankingMetrics
 from repro.eval.ranking import candidate_rng, filtered_candidates, rank_candidates
-from repro.kg.triple import Triple
+from repro.kg.triple import Triple, checked_triple
 
 #: Scope tag per test triple: "enclosing", "bridging", or None (neither view).
 ScopeTag = Optional[str]
@@ -135,8 +135,8 @@ class ShardWorkload:
         Models backed by a :class:`repro.subgraph.provider.SubgraphProvider`
         get their shard's true ``(head, tail)`` pairs pinned up front: every
         work item re-scores its true triple against a fresh churn of
-        corrupted candidates, so under a corruption-aware cache policy the
-        recurring true-pair extractions stay resident for the whole shard.
+        corrupted candidates, so pinning keeps the recurring true-pair
+        extractions resident for the whole shard.
         """
         provider = getattr(model, "subgraph_provider", None)
         if provider is not None and stop > start:
@@ -257,6 +257,10 @@ class Evaluator:
         """Rank every test triple with ``model`` and aggregate the metrics.
 
         ``model`` must provide ``set_context(graph)`` and ``score_many(triples)``.
+        Caller-given ``test_triples`` go through
+        :func:`~repro.kg.triple.checked_triple` against the context graph
+        first: a bool, non-integer, negative or out-of-vocabulary id raises
+        :class:`~repro.kg.triple.InvalidTriple` before anything is ranked.
         With ``workers > 1`` the (triple, form) work list is split into
         contiguous shards ranked by worker processes, each holding its
         own replica of ``model`` (rebuilt from a checkpoint byte round-trip
@@ -277,7 +281,10 @@ class Evaluator:
         workers = self.workers if workers is None else workers
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        triples = list(test_triples) if test_triples is not None else list(self.dataset.test_triples)
+        if test_triples is None:
+            triples = list(self.dataset.test_triples)
+        else:
+            triples = [checked_triple(t, self._context) for t in test_triples]
         workload = self._workload(
             triples, model_name or getattr(model, "name", type(model).__name__))
         if workers == 1 or workload.num_items == 0:

@@ -35,9 +35,9 @@ Three properties make the fan-out deterministic and spawn-safe:
   ``set_context``.  Subgraph-provider state never travels either: a
   replica's constructor builds a fresh, empty
   :class:`repro.subgraph.provider.SubgraphProvider` from the checkpointed
-  config (policy, capacity, batched extraction), so each worker's cache
-  warms on its own shards — per-model caches shard cleanly because caches
-  only change wall clock, never scores.
+  config (its capacity), so each worker's cache warms on its own shards —
+  per-model caches shard cleanly because caches only change wall clock,
+  never scores.
 
 Shared-page lifecycle is owned by the :class:`SupervisedPool`: pages are
 created before fan-out and released (unlinked) after the entire run —

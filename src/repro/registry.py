@@ -46,12 +46,11 @@ additionally accept ``config=`` with a pre-built instance of
 
 Because :func:`allowed_override_keys` is derived from the config class (or
 the constructor signature), new hyper-parameters are exposed through the
-whole stack the moment they are added: the subgraph-provider knobs
-(``subgraph_cache_policy`` / ``subgraph_cache_size`` /
-``subgraph_cache_snapshots`` / ``batched_extraction`` on ``ModelConfig``,
-``cache_policy`` / ``cache_size`` on the subgraph-reasoning baselines) are
-valid ``ExperimentConfig.model.overrides``, grid-search axes and CLI
-``--cache-policy`` / ``--cache-size`` targets with no registry changes.
+whole stack the moment they are added: the subgraph-cache capacity
+(``subgraph_cache_size`` on ``ModelConfig``, ``cache_size`` on the
+subgraph-reasoning baselines) is a valid ``ExperimentConfig.model.overrides``
+key, grid-search axis and CLI ``--cache-size`` target with no registry
+changes.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ import numpy as np
 from repro.datasets.benchmark import BenchmarkDataset, build_benchmark
 from repro.eval.ranking import rank_candidates
 from repro.kg.graph import KnowledgeGraph
-from repro.kg.triple import Triple
+from repro.kg.triple import InvalidTriple, Triple, checked_triple
 from repro.registry import registered_models
 from repro.resilience import atomic_write_json
 from repro.serving.coalescer import RequestCoalescer
@@ -62,34 +62,10 @@ PathLike = Union[str, Path]
 LATENCY_RESERVOIR = 8192
 
 
-class InvalidRequest(ValueError):
-    """A request the service refuses before queueing it: a malformed triple,
-    or an id that is not an integer in the served graph's vocabulary."""
-
-
-def _checked_id(value: Any, size: int, field: str) -> int:
-    """``value`` as an ``int`` in ``[0, size)``; bools, floats and strings are refused."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise InvalidRequest(f"{field} must be an integer id, got {value!r}")
-    if not 0 <= value < size:
-        raise InvalidRequest(f"{field} id {value} is outside [0, {size}) of the served graph")
-    return int(value)
-
-
-def _as_triple(value: Union[Triple, Sequence[int]], graph: KnowledgeGraph) -> Triple:
-    """Accept ``Triple`` or a ``(head, relation, tail)`` sequence (wire form)
-    whose ids index ``graph``'s entities and relations."""
-    if isinstance(value, Triple):
-        head, relation, tail = value.head, value.relation, value.tail
-    else:
-        try:
-            head, relation, tail = value
-        except (TypeError, ValueError):
-            raise InvalidRequest(
-                f"a triple is a (head, relation, tail) sequence, got {value!r}") from None
-    return Triple(_checked_id(head, graph.num_entities, "head"),
-                  _checked_id(relation, graph.num_relations, "relation"),
-                  _checked_id(tail, graph.num_entities, "tail"))
+#: The error a request is refused with before it is queued: a malformed
+#: triple, or an id that is not an integer in the served graph's vocabulary.
+#: It is the id check shared with the evaluator and the pipeline.
+InvalidRequest = InvalidTriple
 
 
 class ScoringService:
@@ -98,7 +74,6 @@ class ScoringService:
     def __init__(self, models: Mapping[str, Any], graph: KnowledgeGraph, *,
                  max_batch: int = 64, max_wait_ms: float = 2.0,
                  stats_path: Optional[PathLike] = None,
-                 share_providers: bool = True,
                  replicas: int = 0,
                  max_pending: Optional[int] = None):
         if not models:
@@ -110,8 +85,7 @@ class ScoringService:
             set_context = getattr(model, "set_context", None)
             if callable(set_context):
                 set_context(graph)
-        self._shared_providers = (self._share_providers()
-                                  if share_providers else [])
+        self._shared_providers = self._share_providers()
         specs = registered_models()
         self._fusable = {name: bool(specs[name].batch_invariant_scoring)
                          if name in specs else False
@@ -238,7 +212,7 @@ class ScoringService:
             items = iter(triples)
         except TypeError:
             raise InvalidRequest(f"triples must be a list of triples, got {triples!r}") from None
-        return self._coalescer.submit(model, [_as_triple(t, self._graph) for t in items])
+        return self._coalescer.submit(model, [checked_triple(t, self._graph) for t in items])
 
     def score_many(self, model: str,
                    triples: Sequence[Union[Triple, Sequence[int]]]) -> List[float]:
@@ -350,7 +324,6 @@ class ScoringService:
                 "hit_rate": None if stats["lifetime_hit_rate"] != stats["lifetime_hit_rate"]
                 else stats["lifetime_hit_rate"],
                 "entries": stats["entries"],
-                "policy": stats["policy"],
             })
         return {
             "models": self.model_names,

@@ -25,13 +25,13 @@ what crosses the process boundary (tiny, picklable); the arrays never do.
 
 Lifecycle is strictly **owner-unlinks**: the creating process holds the
 :class:`PageHandle` and is the only one that ever calls
-:meth:`PageHandle.release` (close + unlink); attaching processes map the
-segment without registering it with the ``resource_tracker`` (via
-``track=False`` on Python >= 3.13, the documented ``unregister`` workaround
-below), so a worker exiting — cleanly, killed, or respawned mid-retry —
-can never tear the page out from under its siblings.  The owner-side
-handle *is* tracker-registered, so even a SIGKILLed parent leaks nothing:
-the tracker unlinks the segment post-mortem.
+:meth:`PageHandle.release` (close + unlink); attaching processes never
+take ownership (see :func:`_attach_segment`), so a worker exiting —
+cleanly, killed, or respawned mid-retry — can never tear the page out from
+under its siblings.  The owner-side handle *is* registered with the
+``resource_tracker`` it shares with its workers, so even a SIGKILLed parent
+leaks nothing: once the parent and its workers are gone the tracker
+unlinks the segment post-mortem.
 
 Consumers:
 
@@ -220,17 +220,6 @@ class PageHandle:
             shm.close()
         except BufferError:  # a live view pins the mapping; unlink anyway
             pass
-        # Spawn children share this process's resource tracker, and their
-        # attach-time ``unregister`` (see :func:`_attach_segment`) may have
-        # removed the create-time registration; re-register so the
-        # unregister inside ``unlink()`` always finds a balanced entry
-        # instead of spraying a tracker KeyError at interpreter exit.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - best effort on odd platforms
-            pass
         try:
             shm.unlink()
         except FileNotFoundError:
@@ -298,25 +287,25 @@ def create_page(arrays: Mapping[str, np.ndarray],
 # attaching side
 # --------------------------------------------------------------------- #
 def _attach_segment(name: str):
-    """Open an existing segment without resource-tracker registration.
+    """Open an existing segment without taking ownership of it.
 
     On Python < 3.13 attaching registers the segment with the attaching
-    process's ``resource_tracker``, which unlinks it when *that* process
-    exits — exactly wrong for a worker mapping a page it does not own (the
-    first worker to exit would tear the page away from its siblings and the
-    parent).  ``track=False`` (3.13+) or the documented ``unregister``
-    workaround keeps ownership with the creator.
+    process's ``resource_tracker``, which unlinks it when that tracker
+    shuts down.  A multiprocessing child (a shard or replica worker) shares
+    its parent's tracker, whose registry is a set: the attach re-adds the
+    name the owner registered at creation, and an ``unregister`` would
+    delete the owner's own entry, so a SIGKILLed owner would leak the page.
+    Only a process with a tracker of its own (an unrelated attacher) must
+    ``unregister``, or its exit would tear the page away from the owner.
+    ``track=False`` (3.13+) registers nothing in the first place.
     """
-    from multiprocessing import shared_memory
+    from multiprocessing import parent_process, shared_memory
 
     try:
         return shared_memory.SharedMemory(name=name, create=False, track=False)
     except TypeError:  # Python < 3.13: no track parameter
         shm = shared_memory.SharedMemory(name=name, create=False)
-        if name not in _OWNED_NAMES:
-            # In the owner process the create-time registration must stand;
-            # unregistering here would strip it (the tracker cache is a set)
-            # and make the owner's unlink double-unregister.
+        if name not in _OWNED_NAMES and parent_process() is None:
             try:
                 from multiprocessing import resource_tracker
 

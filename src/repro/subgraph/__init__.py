@@ -7,16 +7,7 @@ from repro.subgraph.extraction import (
     extract_enclosing_subgraph,
 )
 from repro.subgraph.labeling import UNREACHABLE, label_nodes, node_label_features
-from repro.subgraph.provider import (
-    CACHE_POLICIES,
-    AdaptiveLRUPolicy,
-    CorruptionAwarePolicy,
-    LRUPolicy,
-    SubgraphProvider,
-    cache_policy_names,
-    extract_batch,
-    make_cache_policy,
-)
+from repro.subgraph.provider import SubgraphProvider, extract_batch
 
 __all__ = [
     "k_hop_neighborhood",
@@ -27,12 +18,6 @@ __all__ = [
     "UNREACHABLE",
     "label_nodes",
     "node_label_features",
-    "CACHE_POLICIES",
-    "AdaptiveLRUPolicy",
-    "CorruptionAwarePolicy",
-    "LRUPolicy",
     "SubgraphProvider",
-    "cache_policy_names",
     "extract_batch",
-    "make_cache_policy",
 ]

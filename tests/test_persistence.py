@@ -115,6 +115,43 @@ class TestLegacyFormatV1:
             load_model(path, seed=0)
 
 
+class TestRetiredConfigFields:
+    """DEKG-ILP checkpoints written while ``ModelConfig`` still carried the
+    cache-policy, snapshot-count and per-pair-extraction switches restore
+    and score bit-identically, whatever values those fields hold."""
+
+    @pytest.mark.parametrize("policy, snapshots, batched", [
+        ("corruption_aware", 1, True),
+        ("lru", 4, False),
+        ("adaptive", 0, "yes"),
+    ])
+    def test_checkpoint_with_retired_fields_restores_scores(
+            self, trained_model, tiny_graph, tmp_path, policy, snapshots, batched):
+        header, arrays = read_archive(save_model(trained_model, tmp_path / "model.npz"))
+        header["model"]["init"]["config"].update(
+            subgraph_cache_policy=policy, subgraph_cache_snapshots=snapshots,
+            batched_extraction=batched)
+        (tmp_path / "old.npz").write_bytes(pack_archive(header, arrays))
+        restored = load_model(tmp_path / "old.npz")
+        assert restored.config == trained_model.config
+        trained_model.eval()
+        trained_model.set_context(tiny_graph)
+        restored.set_context(tiny_graph)
+        triples = [Triple(0, 0, 1), Triple(0, 1, 2), Triple(3, 0, 4)]
+        np.testing.assert_array_equal(trained_model.score_many(triples),
+                                      restored.score_many(triples))
+
+    @pytest.mark.parametrize("field", ["subgraph_cache_policy",
+                                       "subgraph_cache_snapshots",
+                                       "batched_extraction"])
+    def test_config_json_setting_a_retired_field_is_rejected(self, field):
+        from repro.experiment import ExperimentConfig
+
+        config = {"model": {"name": "DEKG-ILP", "overrides": {field: 1}}}
+        with pytest.raises(ValueError, match=f"unknown key 'model.overrides.{field}'"):
+            ExperimentConfig.from_dict(config)
+
+
 class TestSeedPersistence:
     """The checkpoint records the construction seed; restore reuses it."""
 

@@ -18,6 +18,7 @@ from repro.gnn.pooling import segment_mean_pool
 from repro.gnn.rgcn import RGCNLayer
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+from repro.subgraph.extraction import extract_enclosing_subgraph
 
 from test_tensor_ops import check_gradient
 
@@ -416,7 +417,8 @@ class TestBatchedScoring:
         model, triples = setup
         gsm: GSM = model.gsm
         graph = model.context_graph
-        subgraphs = [gsm.extract_pair(graph, t.head, t.tail) for t in triples[:6]]
+        subgraphs = model.subgraph_provider.get_many(
+            graph, [(t.head, t.tail) for t in triples[:6]])
         relations = [t.relation for t in triples[:6]]
         batched = gsm.score_batch(subgraphs, relations).data
         singles = np.array([
@@ -430,7 +432,8 @@ class TestBatchedScoring:
         gsm = GSM(2, hidden_dim=8, hops=1, rng=np.random.default_rng(0))
         gsm.eval()
         # 2 and 5 are isolated: the extraction has no edges at all.
-        subgraph = gsm.extract_pair(graph, 2, 5)
+        subgraph = extract_enclosing_subgraph(graph, Triple(2, 0, 5), hops=1,
+                                              omit_target_edge=False)
         assert subgraph.num_edges == 0
         scores = gsm.score_batch([subgraph, subgraph], [0, 1]).data
         assert np.isfinite(scores).all()
@@ -457,14 +460,14 @@ class TestBatchedScoring:
         model.set_context(graph)
         target = Triple(0, 0, 1)
         before = model.score_many([target])[0]
-        cached_before = model.subgraph_provider.get_one(graph, 0, 1)
+        cached_before = model.subgraph_provider.get_many(graph, [(0, 1)])[0]
         fresh = next(
             Triple(0, 1, t) for t in range(1, graph.num_entities)
             if not graph.contains(0, 1, t)
         )
         assert graph.add_triple(fresh)
         after = model.score_many([target])[0]
-        assert model.subgraph_provider.get_one(graph, 0, 1) is not cached_before
+        assert model.subgraph_provider.get_many(graph, [(0, 1)])[0] is not cached_before
         expected = model.score(target)
         np.testing.assert_allclose(after, expected, atol=1e-10)
         assert after != before  # the new edge must influence the score

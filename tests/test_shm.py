@@ -14,12 +14,21 @@ PR 10's zero-copy scale-out rests on three claims, each pinned here:
   workloads.
 * **Leak-freedom** — no named segment survives any teardown path of the
   supervised shard pool: clean exit, killed worker, retried attach fault,
-  exhausted-attempts fallback, or a parent-side interrupt.
+  exhausted-attempts fallback, a parent-side interrupt, or a SIGKILL of the
+  parent and its workers (the resource tracker unlinks what they left).
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import List, Set
 
 import numpy as np
 import pytest
@@ -34,8 +43,8 @@ from repro.kg.graph import SharedGraphView, graph_from_shm, graph_to_shm
 from repro.kg.triple import Triple
 from repro.registry import build_model, model_names
 from repro.resilience import install_fault_plan, reset_fault_state
-from repro.shm import (PageSpec, active_segments, attach_page, create_page,
-                       shm_available, shm_enabled)
+from repro.shm import (SEGMENT_PREFIX, PageSpec, active_segments, attach_page,
+                       create_page, shm_available, shm_enabled)
 
 needs_shm = pytest.mark.skipif(not shm_available(),
                                reason="POSIX shared memory unavailable")
@@ -332,3 +341,124 @@ class TestSegmentLifecycle:
                                test_triples=small_benchmark.test_triples[:4],
                                workers=2)
         assert _segments() == []
+
+
+# --------------------------------------------------------------------- #
+# a SIGKILLed owner: the resource tracker is the only one left to unlink
+# --------------------------------------------------------------------- #
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: Starts the resource tracker in the caller's process group, then moves
+#: itself into a group of its own, so the fork server and the workers it
+#: starts can be SIGKILLed together while the tracker survives them.
+#: Workers import this script too, hence everything sits under the guard.
+_KILLED_OWNER_SCRIPT = """
+import os
+import sys
+
+sys.path.insert(0, {src!r})
+
+if __name__ == "__main__":
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    print(resource_tracker._resource_tracker._pid, flush=True)
+    os.setpgid(0, 0)
+
+    from repro.core.config import ModelConfig
+    from repro.core.model import DEKGILP
+    from repro.datasets.benchmark import build_benchmark
+    from repro.eval.evaluator import Evaluator
+
+    dataset = build_benchmark("fb15k-237", "EQ", seed=1, scale=0.25)
+    model = DEKGILP(dataset.num_relations, seed=0,
+                    config=ModelConfig(embedding_dim=8, gnn_hidden_dim=8,
+                                       edge_dropout=0.0))
+    model.eval()
+    Evaluator(dataset, max_candidates=5, seed=0).evaluate(
+        model, test_triples=dataset.test_triples[:4], workers=2)
+"""
+
+
+def _group_pids(group: int) -> List[int]:
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if os.getpgid(int(entry)) == group:
+                    pids.append(int(entry))
+            except OSError:
+                pass
+    return pids
+
+
+def _mapped_pages(pid: int) -> Set[str]:
+    try:
+        with open(f"/proc/{pid}/maps") as maps:
+            return {line.split("/dev/shm/")[1].split()[0] for line in maps
+                    if "/dev/shm/" + SEGMENT_PREFIX in line}
+    except OSError:
+        return set()
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _wait_for(condition, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.1)
+    return False
+
+
+@needs_shm
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestKilledOwner:
+    def test_sigkilled_evaluation_leaves_no_page(self, tmp_path):
+        script = tmp_path / "owner.py"
+        script.write_text(_KILLED_OWNER_SCRIPT.format(src=_SRC))
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("PYTHONPATH", "REPRO_FAULTS")}
+        env["REPRO_FAULTS"] = "shard:*:hang:60"  # workers hang after attaching
+        process = subprocess.Popen([sys.executable, str(script)], cwd=tmp_path,
+                                   env=env, stdout=subprocess.PIPE, text=True)
+        pages: Set[str] = set()
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 60.0)
+            assert ready, "the run never reported its resource tracker"
+            tracker = int(process.stdout.readline())
+
+            def workers_attached() -> bool:
+                attached = [pid for pid in _group_pids(process.pid)
+                            if pid != process.pid and _mapped_pages(pid)]
+                for pid in attached:
+                    pages.update(_mapped_pages(pid))
+                return len(attached) >= 2
+
+            assert _wait_for(workers_attached, 90.0), "workers never attached"
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait(timeout=30)
+            assert _wait_for(lambda: not _running(tracker), 30.0), \
+                "the resource tracker outlived the killed run"
+            leaked = sorted(name for name in pages
+                            if os.path.exists(f"/dev/shm/{name}"))
+            assert leaked == [], f"a SIGKILLed run leaked {leaked}"
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:  # gone, or never left the caller's group
+                process.kill()
+            process.wait()
+            process.stdout.close()
+            for name in pages:  # keep a failure from tripping later leak checks
+                try:
+                    os.unlink(f"/dev/shm/{name}")
+                except OSError:
+                    pass

@@ -1,12 +1,12 @@
-"""Batched extraction equivalence, cache policies, and provider counters.
+"""Batched extraction equivalence, the pinned LRU cache, and provider counters.
 
 The multi-source :func:`repro.subgraph.provider.extract_batch` must be a pure
 performance change: for any batch of targets it has to return subgraphs
 *identical* to the per-pair extractor — same node arrays, double-radius
 labels, features, endpoint rows and induced edges, dtypes included —
 including on degenerate pairs (disconnected components, ``head == tail``,
-isolated entities, empty neighborhoods).  The cache policies and the two-scope hit/miss counters are
-covered alongside.
+isolated entities, empty neighborhoods).  The provider's pinned LRU store
+and its two-scope hit/miss counters are covered alongside.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from repro.core.config import TrainingConfig
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
 from repro.subgraph.extraction import extract_enclosing_subgraph
-from repro.subgraph.provider import (AdaptiveLRUPolicy, CorruptionAwarePolicy,
-                                     LRUPolicy, SubgraphProvider,
+from repro.subgraph.provider import (PinnedLRU, SubgraphProvider,
                                      _assemble_all_pairs_legacy,
                                      _assemble_labels_batch, _stacked_bfs,
-                                     extract_batch, make_cache_policy,
-                                     masked_edges, share_provider)
+                                     extract_batch, masked_edges,
+                                     share_provider)
 
 
 def _random_graph(num_entities: int, num_relations: int, num_triples: int,
@@ -307,8 +306,10 @@ class TestMaskedEdges:
 
 
 class TestCachePolicies:
+    """The provider's one store: an LRU plus pinned true pairs."""
+
     def test_lru_evicts_least_recently_used(self):
-        policy = LRUPolicy(capacity=2)
+        policy = PinnedLRU(capacity=2)
         policy.put((0, 1), "a")
         policy.put((0, 2), "b")
         assert policy.get((0, 1)) == "a"   # refresh (0, 1)
@@ -317,29 +318,8 @@ class TestCachePolicies:
         assert policy.get((0, 1)) == "a"
         assert len(policy) == 2
 
-    def test_adaptive_grows_on_ghost_hit(self):
-        policy = AdaptiveLRUPolicy(capacity=2)
-        policy.put((0, 1), "a")
-        policy.put((0, 2), "b")
-        policy.put((0, 3), "c")            # evicts (0, 1) into the ghost list
-        assert policy.capacity == 2
-        assert policy.get((0, 1)) is None  # ghost hit -> capacity doubles
-        assert policy.capacity == 4
-        policy.put((0, 1), "a")
-        policy.put((0, 4), "d")
-        assert len(policy) == 4            # no eviction at the grown capacity
-        assert policy.max_capacity == 2 * 16
-
-    def test_adaptive_capacity_is_bounded(self):
-        policy = AdaptiveLRUPolicy(capacity=1, max_capacity=2)
-        for round_trip in range(5):
-            policy.put((0, 1), "a")
-            policy.put((0, 2), "b")
-            policy.get((0, 1))
-        assert policy.capacity == 2
-
     def test_corruption_aware_pins_survive_eviction_pressure(self):
-        policy = CorruptionAwarePolicy(capacity=2)
+        policy = PinnedLRU(capacity=2)
         policy.pin([(7, 8)])
         policy.put((7, 8), "true-pair")
         for corruption in range(100, 120):
@@ -348,20 +328,12 @@ class TestCachePolicies:
         assert len(policy) == 2 + 1        # LRU portion + the pinned entry
 
     def test_corruption_aware_pin_promotes_existing_entry(self):
-        policy = CorruptionAwarePolicy(capacity=1)
+        policy = PinnedLRU(capacity=1)
         policy.put((1, 2), "x")
         policy.pin([(1, 2)])
         policy.put((3, 4), "y")            # fills the whole LRU portion
         policy.put((5, 6), "z")
         assert policy.get((1, 2)) == "x"   # promoted before the churn
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            make_cache_policy("clairvoyant", 16)
-        with pytest.raises(ValueError, match="unknown cache policy"):
-            SubgraphProvider(policy="clairvoyant")
-        with pytest.raises(ValueError, match="subgraph_cache_policy"):
-            ModelConfig(subgraph_cache_policy="clairvoyant")
 
 
 class TestProviderCounters:
@@ -390,27 +362,27 @@ class TestProviderCounters:
         assert stats["context_misses"] == 1.0
         assert stats["hits"] == stats["lifetime_hits"]  # historical keys = lifetime
 
-    def test_cross_split_persistence_keeps_previous_store_warm(self):
+    def test_context_switch_starts_an_empty_store(self):
         graph_a = _random_graph(20, 2, 50, seed=0)
         graph_b = _random_graph(20, 2, 50, seed=1)
-        provider = SubgraphProvider(hops=1, snapshots=2)
+        provider = SubgraphProvider(hops=1)
+        provider.pin_pairs(graph_a, [(0, 1)])
         first = provider.get_many(graph_a, [(0, 1)])[0]
         provider.get_many(graph_b, [(0, 1)])
-        # Returning to graph_a's snapshot finds the extraction still cached.
-        assert provider.get_many(graph_a, [(0, 1)])[0] is first
-        # With snapshots=1 the same round trip re-extracts.
-        provider_single = SubgraphProvider(hops=1, snapshots=1)
-        first = provider_single.get_many(graph_a, [(0, 1)])[0]
-        provider_single.get_many(graph_b, [(0, 1)])
-        assert provider_single.get_many(graph_a, [(0, 1)])[0] is not first
+        # Returning to graph_a re-extracts: its store, pins included, went
+        # with the switch to graph_b.
+        assert provider.get_many(graph_a, [(0, 1)])[0] is not first
+        assert provider.stats()["context_switches"] == 3.0
 
-    def test_unbatched_provider_serves_identical_subgraphs(self):
+    def test_provider_serves_per_pair_extractor_subgraphs(self):
         graph = _random_graph(25, 3, 70, seed=3)
         pairs = [(int(h), int(t)) for h, t in zip(range(8), range(8, 16))]
-        batched = SubgraphProvider(hops=2, batched=True).get_many(graph, pairs)
-        per_pair = SubgraphProvider(hops=2, batched=False).get_many(graph, pairs)
-        for left, right in zip(batched, per_pair):
-            _assert_subgraphs_identical(left, right)
+        served = SubgraphProvider(hops=2).get_many(graph, pairs)
+        for subgraph, (head, tail) in zip(served, pairs):
+            _assert_subgraphs_identical(
+                subgraph,
+                extract_enclosing_subgraph(graph, Triple(head, 0, tail), hops=2,
+                                           omit_target_edge=False))
 
     def test_model_stats_expose_both_scopes(self):
         graph = _random_graph(20, 2, 40, seed=2)
@@ -420,10 +392,11 @@ class TestProviderCounters:
         model.set_context(graph)
         model.score_many([Triple(0, 0, 1), Triple(0, 1, 1)])
         stats = model.subgraph_cache_stats()
-        for key in ("hits", "misses", "hit_rate", "lifetime_hit_rate",
-                    "context_hits", "context_misses", "context_hit_rate",
-                    "policy", "entries", "capacity"):
-            assert key in stats
+        assert set(stats) == {"hits", "misses", "hit_rate", "lifetime_hits",
+                              "lifetime_misses", "lifetime_hit_rate",
+                              "context_hits", "context_misses",
+                              "context_hit_rate", "context_switches",
+                              "entries", "capacity"}
         assert stats["hits"] == stats["lifetime_hits"]
         # Re-binding the same graph keeps the snapshot (and the history).
         model.set_context(graph)
@@ -449,22 +422,20 @@ class TestProviderPinningIntegration:
     def test_trainer_pins_positive_pairs_under_corruption_aware_policy(self):
         graph = _random_graph(25, 2, 60, seed=6)
         config = ModelConfig(embedding_dim=4, gnn_hidden_dim=4, subgraph_hops=1,
-                             edge_dropout=0.0,
-                             subgraph_cache_policy="corruption_aware",
-                             subgraph_cache_size=64)
+                             edge_dropout=0.0, subgraph_cache_size=64)
         model = DEKGILP(2, config=config, seed=0)
         Trainer(model, graph, TrainingConfig(epochs=2, batch_size=8, seed=0)).fit()
-        policy = model.subgraph_provider._stores[0][1]
+        policy = model.subgraph_provider._store
         # Every training positive stays resident across the corruption churn.
         positives = {(t.head, t.tail) for t in graph.triples}
         assert positives <= set(policy._pinned)
         # ... and the pin budget is bounded by the capacity.
-        assert policy.max_pinned == 64
+        assert policy.capacity == 64
 
     def test_pin_budget_is_bounded(self):
-        policy = CorruptionAwarePolicy(capacity=3)
+        policy = PinnedLRU(capacity=3)
         policy.pin((i, i + 1) for i in range(10))
-        assert len(policy._pin_keys) == 3  # max_pinned defaults to capacity
+        assert len(policy._pin_keys) == 3  # at most capacity pins
         late = (99, 100)
         policy.pin([late])
         policy.put(late, "overflow")       # unpinned: ordinary LRU citizen
@@ -475,18 +446,16 @@ class TestProviderPinningIntegration:
     def test_tiny_pinned_cache_matches_unlimited_cache_losses(self):
         graph = _random_graph(25, 2, 60, seed=6)
 
-        def run(policy, size):
+        def run(size):
             config = ModelConfig(embedding_dim=4, gnn_hidden_dim=4,
                                  subgraph_hops=1, edge_dropout=0.0,
-                                 subgraph_cache_policy=policy,
                                  subgraph_cache_size=size)
             model = DEKGILP(2, config=config, seed=0)
             trainer = Trainer(model, graph,
                               TrainingConfig(epochs=2, batch_size=8, seed=0))
             return trainer.fit().losses()
 
-        np.testing.assert_allclose(run("corruption_aware", 2),
-                                   run("lru", 4096), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run(2), run(4096), rtol=0, atol=1e-12)
 
 
 class TestShareProvider:
