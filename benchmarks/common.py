@@ -22,7 +22,6 @@ import time
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from repro.backend import active_backend, thread_counts
 from repro.datasets.benchmark import BenchmarkDataset, build_benchmark, dataset_names, split_names
 from repro.eval.evaluator import EvaluationResult, Evaluator
 from repro.experiment import train_model
@@ -92,19 +91,25 @@ def get_evaluation(model_name: str, dataset_name: str, split: str,
     return evaluator.evaluate(model, test_triples=test_triples, model_name=model_name)
 
 
+def thread_counts() -> Dict:
+    """OMP/BLAS thread-count environment, for benchmark comparability.
+
+    Unset means the library default, usually all cores.
+    """
+    keys = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    counts = {key: os.environ.get(key) for key in keys}
+    counts["cpu_count"] = os.cpu_count()
+    return counts
+
+
 def bench_env() -> Dict:
     """Execution-environment block recorded in every ``BENCH_*.json`` run.
 
-    Perf numbers from different machines/configurations are only comparable
-    when the array backend, its dtype policy and the BLAS/OMP threading
-    situation are known; this captures all three.
+    Perf numbers from different machines are only comparable when the
+    BLAS/OMP threading situation is known; this captures it.
     """
-    backend = active_backend()
-    return {
-        "backend": backend.name,
-        "dtype_policy": backend.dtype_policy(),
-        "threads": thread_counts(),
-    }
+    return {"threads": thread_counts()}
 
 
 def append_bench_run(path: str, benchmark: str, unit: str,

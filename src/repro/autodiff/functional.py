@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.backend import hxp
+import numpy as np
+
 from repro.backend.counter_rng import element_keys, uniform_from_keys
 
 from repro.autodiff.tensor import Tensor
@@ -39,30 +40,24 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, training: bool = True,
-            rng: Optional[Any] = None, seed: Optional[int] = None,
-            counter: int = 0) -> Tensor:
+            seed: Optional[int] = None, counter: int = 0) -> Tensor:
     """Inverted dropout: zero a fraction ``rate`` of entries and rescale.
 
     Masks are **counter-seeded**: each kept/dropped decision is a pure
     function of ``(seed, counter, flat element index)`` through the
     splitmix64 uniforms of :mod:`repro.backend.counter_rng` — the same
     machinery behind per-edge dropout — so the same ``(seed, counter)``
-    draws the same mask on every backend and platform.  Callers that want
-    fresh masks per forward pass advance ``counter`` (the
+    draws the same mask on every platform.  Callers that want fresh masks
+    per forward pass advance ``counter`` (the
     :class:`~repro.autodiff.layers.Dropout` layer does this automatically).
-
-    ``rng`` is the legacy interface: the per-call seed is drawn from the
-    generator's stream instead, so existing seeded-``Generator`` call sites
-    stay deterministic.  When neither ``seed`` nor ``rng`` is given, a
-    fresh seed comes from OS entropy.
+    Without ``seed``, a fresh seed comes from OS entropy.
     """
     if not training or rate <= 0.0:
         return x
     if rate >= 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if seed is None:
-        source = rng if rng is not None else hxp.random.default_rng()
-        seed = int(source.integers(0, 2 ** 63))
+        seed = int(np.random.default_rng().integers(0, 2 ** 63))
     uniforms = uniform_from_keys(element_keys(x.size), seed, counter)
     mask = (uniforms >= rate).astype(float).reshape(x.shape) / (1.0 - rate)
     return x * Tensor(mask)

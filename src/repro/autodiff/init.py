@@ -1,22 +1,16 @@
-"""Weight initialization schemes.
-
-Draws happen **host-side** (``hxp``, numpy semantics on every backend) so
-initial parameter values are bit-identical no matter which backend runs the
-model; :class:`~repro.autodiff.tensor.Tensor` pushes them to the active
-backend's arrays at construction.
-"""
+"""Weight initialization schemes (numpy ``Generator`` draws)."""
 
 from __future__ import annotations
 
 import math
 from typing import Any, Optional, Tuple
 
-from repro.backend import hxp
+import numpy as np
 
 
 def xavier_uniform(shape: Tuple[int, ...], rng: Optional[Any] = None, gain: float = 1.0):
     """Glorot/Xavier uniform initialization."""
-    rng = rng or hxp.random.default_rng()
+    rng = rng or np.random.default_rng()
     fan_in = shape[0] if len(shape) > 0 else 1
     fan_out = shape[1] if len(shape) > 1 else shape[0]
     limit = gain * math.sqrt(6.0 / (fan_in + fan_out))
@@ -25,7 +19,7 @@ def xavier_uniform(shape: Tuple[int, ...], rng: Optional[Any] = None, gain: floa
 
 def xavier_normal(shape: Tuple[int, ...], rng: Optional[Any] = None, gain: float = 1.0):
     """Glorot/Xavier normal initialization."""
-    rng = rng or hxp.random.default_rng()
+    rng = rng or np.random.default_rng()
     fan_in = shape[0] if len(shape) > 0 else 1
     fan_out = shape[1] if len(shape) > 1 else shape[0]
     std = gain * math.sqrt(2.0 / (fan_in + fan_out))
@@ -34,16 +28,16 @@ def xavier_normal(shape: Tuple[int, ...], rng: Optional[Any] = None, gain: float
 
 def uniform(shape: Tuple[int, ...], low: float = -0.1, high: float = 0.1, rng: Optional[Any] = None):
     """Plain uniform initialization in ``[low, high)``."""
-    rng = rng or hxp.random.default_rng()
+    rng = rng or np.random.default_rng()
     return rng.uniform(low, high, size=shape)
 
 
 def normal(shape: Tuple[int, ...], mean: float = 0.0, std: float = 0.02, rng: Optional[Any] = None):
     """Gaussian initialization."""
-    rng = rng or hxp.random.default_rng()
+    rng = rng or np.random.default_rng()
     return rng.normal(mean, std, size=shape)
 
 
 def zeros(shape: Tuple[int, ...]):
     """All-zeros initialization (used for biases)."""
-    return hxp.zeros(shape)
+    return np.zeros(shape)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.backend import active_backend
+import numpy as np
 
 from repro.autodiff import functional as F
 from repro.autodiff import init
@@ -41,7 +41,7 @@ class Embedding(Module):
         self.weight = Parameter(init.xavier_uniform((num_embeddings, embedding_dim), rng=rng))
 
     def forward(self, indices) -> Tensor:
-        indices = active_backend().asindex(indices)
+        indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings}): "
@@ -59,24 +59,21 @@ class Dropout(Module):
 
     With ``seed`` set, masks are counter-seeded — a pure function of
     ``(seed, forward-call counter, element index)``, bit-identical across
-    backends and platforms (see :func:`repro.autodiff.functional.dropout`).
-    ``rng`` is the legacy stream interface and draws a per-call seed from
-    the generator instead.
+    platforms (see :func:`repro.autodiff.functional.dropout`).  Without it,
+    every call draws a fresh seed.
     """
 
-    def __init__(self, rate: float, rng: Optional[Any] = None,
-                 seed: Optional[int] = None):
+    def __init__(self, rate: float, seed: Optional[int] = None):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.seed = seed
-        self._rng = rng
         self._counter = 0
 
     def forward(self, x: Tensor) -> Tensor:
         out = F.dropout(x, self.rate, training=self.training,
-                        rng=self._rng, seed=self.seed, counter=self._counter)
+                        seed=self.seed, counter=self._counter)
         if self.training and self.rate > 0.0:
             self._counter += 1
         return out

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, List, Optional
 
-from repro.backend import xp
+import numpy as np
 
 from repro.autodiff.module import Parameter
 
@@ -34,7 +34,7 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float,
         if error_if_nonfinite:
             raise ValueError(f"gradient norm is non-finite ({total})")
         for p in params:
-            p.grad = xp.zeros_like(p.grad)
+            p.grad = np.zeros_like(p.grad)
         return total
     if total > max_norm and total > 0.0:
         scale = max_norm / total
@@ -72,7 +72,7 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         if self.momentum and self._velocity is None:
-            self._velocity = [xp.zeros_like(p.data) for p in self.parameters]
+            self._velocity = [np.zeros_like(p.data) for p in self.parameters]
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
@@ -97,14 +97,13 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [xp.zeros_like(p.data) for p in self.parameters]
-        self._v = [xp.zeros_like(p.data) for p in self.parameters]
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def state_dict(self) -> dict:
         """Optimizer state (step count + per-parameter moment arrays).
 
-        The moments are returned by reference in parameter order; callers
-        persisting them should copy/convert (checkpoints store host numpy).
+        The moments are returned by reference, in parameter order.
         """
         return {"step": self._step, "m": list(self._m), "v": list(self._v)}
 
@@ -125,8 +124,8 @@ class Adam(Optimizer):
                     f"optimizer moment {index} has shape {tuple(m[index].shape)} "
                     f"but parameter has shape {tuple(param.data.shape)}")
         self._step = int(state["step"])
-        self._m = [xp.asarray(array) for array in m]
-        self._v = [xp.asarray(array) for array in v]
+        self._m = [np.asarray(array) for array in m]
+        self._v = [np.asarray(array) for array in v]
 
     def step(self) -> None:
         self._step += 1
@@ -142,4 +141,4 @@ class Adam(Optimizer):
             self._v[index] = self.beta2 * self._v[index] + (1.0 - self.beta2) * grad ** 2
             m_hat = self._m[index] / bias_correction1
             v_hat = self._v[index] / bias_correction2
-            param.data = param.data - self.lr * m_hat / (xp.sqrt(v_hat) + self.eps)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -1,16 +1,11 @@
 """Reverse-mode autodiff tensor.
 
-The :class:`Tensor` class wraps an array of the **active backend** (see
-:mod:`repro.backend`) and builds a dynamic computation graph as operations
-are applied.  Calling :meth:`Tensor.backward` on a scalar tensor propagates
-gradients to every tensor in the graph with ``requires_grad=True``.
-
-All array creation and kernel dispatch route through the backend seam: the
-``xp`` proxy for numpy-compatible compute (``xp.exp``, ``xp.zeros_like``)
-and :func:`repro.backend.active_backend` for the dtype policy and the
-scatter/gather kernel set.  Under the default numpy backend behaviour is
-exactly what a hard-coded ``import numpy`` gave; under other backends the
-same graph runs on their arrays.
+The :class:`Tensor` class wraps a float64 numpy array and builds a dynamic
+computation graph as operations are applied.  Calling
+:meth:`Tensor.backward` on a scalar tensor propagates gradients to every
+tensor in the graph with ``requires_grad=True``.  The indexed primitives
+dispatch to the kernel object :data:`repro.backend.kernels`, read at call
+time.
 
 The implementation intentionally supports only the operations needed by the
 DEKG-ILP reproduction (dense linear algebra, elementwise math, reductions,
@@ -24,7 +19,7 @@ first-class indexed primitives used by the GNN message-passing hot path.  They
 are exact adjoints of each other:
 
 * ``scatter_add(src, index, n)`` sums rows of ``src`` into ``n`` output rows
-  (forward is the backend's ``scatter_rows`` kernel; backward is a row gather
+  (forward is the ``scatter_rows`` kernel; backward is a row gather
   of the output gradient).
 * ``gather(src, index)`` selects rows (forward fancy indexing; backward is a
   ``scatter_rows`` accumulation of the gradient).
@@ -42,9 +37,11 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Callable, Iterable, Optional, Sequence, Tuple, Union
 
-from repro.backend import active_backend, xp
+import numpy as np
 
-#: A backend array, or anything :meth:`ArrayBackend.asarray` coerces to one.
+from repro.backend import kernels
+
+#: A numpy array, or anything ``np.asarray`` turns into one.
 ArrayLike = Union[Any, float, int, Sequence]
 
 _GRAD_ENABLED = True
@@ -68,8 +65,8 @@ def grad_enabled() -> bool:
 
 
 def _as_array(data: ArrayLike):
-    """Coerce ``data`` to an active-backend array under the float dtype policy."""
-    return active_backend().asarray(data)
+    """``data`` as a float64 array; a float64 array is returned as it is."""
+    return np.asarray(data, dtype=np.float64)
 
 
 def _unbroadcast(grad, shape: Tuple[int, ...]):
@@ -123,7 +120,7 @@ class Tensor:
         return self.data.size
 
     def numpy(self):
-        """Return the underlying array (not a copy; backend-native type)."""
+        """Return the underlying array (not a copy)."""
         return self.data
 
     def item(self) -> float:
@@ -258,15 +255,15 @@ class Tensor:
             a, b = self.data, other.data
             if self.requires_grad:
                 if b.ndim == 1:
-                    self._accumulate(xp.outer(grad, b) if a.ndim > 1 else grad * b)
+                    self._accumulate(np.outer(grad, b) if a.ndim > 1 else grad * b)
                 else:
-                    g = xp.atleast_2d(grad) @ xp.swapaxes(b, -1, -2)
+                    g = np.atleast_2d(grad) @ np.swapaxes(b, -1, -2)
                     self._accumulate(g.reshape(a.shape) if a.ndim == 1 else g)
             if other.requires_grad:
                 if a.ndim == 1:
-                    other._accumulate(xp.outer(a, grad) if b.ndim > 1 else grad * a)
+                    other._accumulate(np.outer(a, grad) if b.ndim > 1 else grad * a)
                 else:
-                    g = xp.swapaxes(a, -1, -2) @ xp.atleast_2d(grad)
+                    g = np.swapaxes(a, -1, -2) @ np.atleast_2d(grad)
                     other._accumulate(g.reshape(b.shape) if b.ndim == 1 else g)
 
         return self._make(data, (self, other), backward)
@@ -275,7 +272,7 @@ class Tensor:
     # elementwise math
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        data = xp.exp(self.data)
+        data = np.exp(self.data)
 
         def backward(grad) -> None:
             if self.requires_grad:
@@ -284,7 +281,7 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def log(self) -> "Tensor":
-        data = xp.log(self.data)
+        data = np.log(self.data)
 
         def backward(grad) -> None:
             if self.requires_grad:
@@ -306,7 +303,7 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + xp.exp(-self.data))
+        data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad) -> None:
             if self.requires_grad:
@@ -315,7 +312,7 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        data = xp.tanh(self.data)
+        data = np.tanh(self.data)
 
         def backward(grad) -> None:
             if self.requires_grad:
@@ -324,26 +321,26 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def sin(self) -> "Tensor":
-        data = xp.sin(self.data)
+        data = np.sin(self.data)
 
         def backward(grad) -> None:
             if self.requires_grad:
-                self._accumulate(grad * xp.cos(self.data))
+                self._accumulate(grad * np.cos(self.data))
 
         return self._make(data, (self,), backward)
 
     def cos(self) -> "Tensor":
-        data = xp.cos(self.data)
+        data = np.cos(self.data)
 
         def backward(grad) -> None:
             if self.requires_grad:
-                self._accumulate(-grad * xp.sin(self.data))
+                self._accumulate(-grad * np.sin(self.data))
 
         return self._make(data, (self,), backward)
 
     def abs(self) -> "Tensor":
-        sign = xp.sign(self.data)
-        data = xp.abs(self.data)
+        sign = np.sign(self.data)
+        data = np.abs(self.data)
 
         def backward(grad) -> None:
             if self.requires_grad:
@@ -353,7 +350,7 @@ class Tensor:
 
     def clamp_min(self, minimum: float) -> "Tensor":
         mask = self.data >= minimum
-        data = xp.maximum(self.data, minimum)
+        data = np.maximum(self.data, minimum)
 
         def backward(grad) -> None:
             if self.requires_grad:
@@ -374,8 +371,8 @@ class Tensor:
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(a % self.data.ndim for a in axes):
-                    g = xp.expand_dims(g, ax)
-            self._accumulate(xp.broadcast_to(g, self.data.shape))
+                    g = np.expand_dims(g, ax)
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
         return self._make(data, (self,), backward)
 
@@ -431,8 +428,8 @@ class Tensor:
 
         def backward(grad) -> None:
             if self.requires_grad:
-                full = xp.zeros_like(self.data)
-                active_backend().index_add(full, index, grad)
+                full = np.zeros_like(self.data)
+                kernels.index_add(full, index, grad)
                 self._accumulate(full)
 
         return self._make(data, (self,), backward)
@@ -444,7 +441,7 @@ class Tensor:
     @staticmethod
     def concat(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._ensure(t) for t in tensors]
-        data = xp.concatenate([t.data for t in tensors], axis=axis)
+        data = np.concatenate([t.data for t in tensors], axis=axis)
         offsets = [0]
         for tensor in tensors:
             offsets.append(offsets[-1] + tensor.data.shape[axis])
@@ -462,14 +459,14 @@ class Tensor:
     @staticmethod
     def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._ensure(t) for t in tensors]
-        data = xp.stack([t.data for t in tensors], axis=axis)
+        data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward(grad) -> None:
             grad = _as_array(grad)
-            parts = xp.split(grad, len(tensors), axis=axis)
+            parts = np.split(grad, len(tensors), axis=axis)
             for tensor, part in zip(tensors, parts):
                 if tensor.requires_grad:
-                    tensor._accumulate(xp.squeeze(part, axis=axis))
+                    tensor._accumulate(np.squeeze(part, axis=axis))
 
         return Tensor._make(data, tensors, backward)
 
@@ -483,7 +480,7 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("backward() without an explicit gradient requires a scalar tensor")
-            grad = xp.ones_like(self.data)
+            grad = np.ones_like(self.data)
         grad = _as_array(grad)
 
         order: list[Tensor] = []
@@ -520,22 +517,20 @@ def gather(source: Tensor, indices) -> Tensor:
     Unlike generic ``Tensor.__getitem__`` this is specialized to integer-array
     row selection, which keeps both directions allocation-lean: forward is a
     single fancy-indexing gather, backward scatters the incoming gradient back
-    through the backend's row-scatter kernel (duplicate indices accumulate;
-    see :meth:`repro.backend.base.ArrayBackend.scatter_rows` and the numpy
-    backend's sparse-product kernel).
+    through the row-scatter kernel (duplicate indices accumulate; see
+    :meth:`repro.backend.numpy_backend.NumpyBackend.scatter_rows`).
     """
-    backend = active_backend()
-    indices = backend.asindex(indices)
+    indices = np.asarray(indices, dtype=np.int64)
     # Normalize negative (wrap-around) indices up front so the scatter
     # kernel in backward sees the same rows fancy indexing selected.
     if indices.size and indices.min() < 0:
-        indices = xp.where(indices < 0, indices + source.data.shape[0], indices)
-    data = backend.gather_rows(source.data, indices)
+        indices = np.where(indices < 0, indices + source.data.shape[0], indices)
+    data = kernels.gather_rows(source.data, indices)
 
     def backward(grad) -> None:
         if source.requires_grad:
-            grad = backend.asarray(grad)
-            source._accumulate(backend.scatter_rows(indices, grad, source.data.shape[0]))
+            grad = _as_array(grad)
+            source._accumulate(kernels.scatter_rows(indices, grad, source.data.shape[0]))
 
     return Tensor._make(data, (source,), backward)
 
@@ -545,14 +540,13 @@ def scatter_add(source: Tensor, indices, num_segments: int) -> Tensor:
 
     ``out[i] = sum(source[j] for j where indices[j] == i)`` — the segmented
     reduction at the heart of graph message aggregation.  Forward is the
-    active backend's ``scatter_rows`` kernel (duplicate destinations
-    accumulate); backward is the adjoint gather ``grad[indices]``.
+    ``scatter_rows`` kernel (duplicate destinations accumulate); backward is
+    the adjoint gather ``grad[indices]``.
 
     ``indices`` must be 1-D with one entry per row of ``source`` and every
     entry in ``[0, num_segments)``.
     """
-    backend = active_backend()
-    indices = backend.asindex(indices)
+    indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 1:
         raise ValueError(f"scatter_add expects a 1-D index array, got shape {indices.shape}")
     if indices.shape[0] != source.data.shape[0]:
@@ -564,11 +558,11 @@ def scatter_add(source: Tensor, indices, num_segments: int) -> Tensor:
         raise ValueError("num_segments must be non-negative")
     if indices.size and (indices.min() < 0 or indices.max() >= num_segments):
         raise IndexError("scatter_add indices out of range")
-    out = backend.scatter_rows(indices, source.data, num_segments)
+    out = kernels.scatter_rows(indices, source.data, num_segments)
 
     def backward(grad) -> None:
         if source.requires_grad:
-            source._accumulate(backend.gather_rows(backend.asarray(grad), indices))
+            source._accumulate(kernels.gather_rows(_as_array(grad), indices))
 
     return Tensor._make(out, (source,), backward)
 
@@ -585,18 +579,18 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
         out[v] = Σ_{e: destinations[e] = v} Σ_b coefficients[e, b] · (features[sources[e]] @ V_b)
 
     Forward projects the nodes once (``P = features @ basis_matrix``, an
-    ``N``-row GEMM).  The backend's ``gather_combine`` takes each edge's
+    ``N``-row GEMM).  The ``gather_combine`` kernel takes each edge's
     coefficient-weighted sum over the basis blocks of ``P[sources]``, and
-    its ``scatter_rows`` sums the messages into their destinations.
+    ``scatter_rows`` sums the messages into their destinations.
     Backward is the adjoint of that forward: with ``g = grad[destinations]``,
-    the backend's ``scatter_combine`` sums ``coefficients[e, b] · g[e]`` into
+    the ``scatter_combine`` kernel sums ``coefficients[e, b] · g[e]`` into
     row ``sources[e]`` to give the ``(N, B·out)`` projection gradient ``dP``,
     and the feature and basis gradients are the ``N``-row GEMMs
     ``dP @ basis_matrix.T`` and ``features.T @ dP``.  The coefficient
     gradient contracts ``P[sources]`` with ``g`` over the output axis.
 
-    On the numpy backend the three kernels are scipy sparse products that
-    add in the order of the numpy chain (see
+    The three kernels are scipy sparse products that add in the order of
+    the numpy chain (see
     :mod:`repro.backend.numpy_backend`), so forward and backward equal the
     project-first chain ``gather(features @ basis_matrix, sources) →
     einsum("ebo,eb->eo") → scatter_add`` bit for bit for ``out ≥ 2``.  (At
@@ -611,9 +605,8 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
     ``(E, out)`` messages never become tape nodes; backward gathers
     ``P[sources]`` only for the coefficient gradient.
     """
-    backend = active_backend()
-    sources = backend.asindex(sources)
-    destinations = backend.asindex(destinations)
+    sources = np.asarray(sources, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
     num_nodes = features.data.shape[0]
     num_edges, num_bases = coefficients.data.shape
     width = basis_matrix.data.shape[1]  # B * out
@@ -626,18 +619,18 @@ def basis_message_passing(features: Tensor, basis_matrix: Tensor, coefficients: 
         if indices.size and (indices.min() < 0 or indices.max() >= num_nodes):
             raise IndexError("basis_message_passing node indices out of range")
     projected = features.data @ basis_matrix.data  # (N, B*out)
-    messages = backend.gather_combine(projected, sources, coefficients.data)  # (E, out)
-    out = backend.scatter_rows(destinations, messages, num_nodes)
+    messages = kernels.gather_combine(projected, sources, coefficients.data)  # (E, out)
+    out = kernels.scatter_rows(destinations, messages, num_nodes)
 
     def backward(grad) -> None:
-        grad = backend.gather_rows(backend.asarray(grad), destinations)  # (E, out)
+        grad = kernels.gather_rows(_as_array(grad), destinations)  # (E, out)
         if coefficients.requires_grad:
-            gathered = backend.gather_rows(projected, sources).reshape(
+            gathered = kernels.gather_rows(projected, sources).reshape(
                 num_edges, num_bases, width // num_bases)  # (E, B, out)
-            coefficients._accumulate(xp.einsum("ebo,eo->eb", gathered, grad))
+            coefficients._accumulate(np.einsum("ebo,eo->eb", gathered, grad))
         if not (features.requires_grad or basis_matrix.requires_grad):
             return
-        grad = backend.scatter_combine(grad, sources, coefficients.data, num_nodes)  # (N, B*out)
+        grad = kernels.scatter_combine(grad, sources, coefficients.data, num_nodes)  # (N, B*out)
         if features.requires_grad:
             features._accumulate(grad @ basis_matrix.data.T)
         if basis_matrix.requires_grad:
@@ -653,10 +646,9 @@ def segment_sum(source: Tensor, segment_ids, num_segments: int) -> Tensor:
 
 def segment_mean(source: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Per-segment mean of rows; empty segments yield zero rows."""
-    backend = active_backend()
-    segment_ids = backend.asindex(segment_ids)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
     sums = scatter_add(source, segment_ids, num_segments)
-    counts = backend.segment_counts(segment_ids, num_segments)
-    counts = xp.where(counts == 0, 1.0, counts)
+    counts = kernels.segment_counts(segment_ids, num_segments)
+    counts = np.where(counts == 0, 1.0, counts)
     inverse = 1.0 / counts
     return sums * inverse.reshape((num_segments,) + (1,) * (source.data.ndim - 1))

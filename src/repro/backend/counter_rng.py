@@ -1,16 +1,11 @@
-"""Counter-based (stateless) uniform variates, bit-identical on every backend.
+"""Counter-based (stateless) uniform variates, bit-identical on every platform.
 
 This is the splitmix64 machinery that :mod:`repro.gnn.edge_dropout`
-introduced for counter-seeded per-edge dropout, hoisted behind the backend
-seam so that *all* mask randomness — edge dropout and
-:func:`repro.autodiff.functional.dropout` alike — is a pure function of
-``(keys, salts)`` rather than of any backend's native generator stream.
-
-The math runs host-side in uint64 numpy (pure integer arithmetic, identical
-on every platform); callers push the resulting ``[0, 1)`` uniforms to the
-active backend at the compute boundary.  That is what makes dropout masks
-bit-identical across backends: a CuPy run and a numpy run of the same model
-draw exactly the same masks.
+introduced for counter-seeded per-edge dropout, shared so that *all* mask
+randomness — edge dropout and :func:`repro.autodiff.functional.dropout`
+alike — is a pure function of ``(keys, salts)`` rather than of a generator
+stream.  The math is pure uint64 integer arithmetic, identical on every
+platform.
 
 Not a cryptographic generator — statistically more than adequate for
 Bernoulli dropout masks.
@@ -47,7 +42,7 @@ def uniform_from_keys(keys: np.ndarray, *salts: int) -> np.ndarray:
     indices); each salt — seed, epoch, layer index, call counter — is folded
     in with its own finalization round, so streams for different salt tuples
     are independent.  The same ``(key, salts)`` always yields the same
-    uniform, on every platform and every backend.
+    uniform, on every platform.
     """
     mixed = np.asarray(keys).astype(np.uint64, copy=True)
     with np.errstate(over="ignore"):

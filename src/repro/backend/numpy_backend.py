@@ -1,10 +1,9 @@
-"""The always-on numpy reference backend, with its CPU indexed kernels.
+"""The three sparse-product kernels of the GNN message-passing path.
 
-``NumpyBackend`` is the default and the correctness reference every other
-backend is tested against.  Its non-trivial pieces are the three indexed
-kernels of the GNN message-passing path, and all three run as scipy
-sparse–dense products, whose compiled loops fuse the indexing with the
-arithmetic:
+:class:`NumpyBackend` adds them to the row gather and index kernels it
+inherits from :class:`~repro.backend.base.ArrayBackend`; its one instance is
+:data:`repro.backend.kernels`.  All three run as scipy sparse–dense
+products, whose compiled loops fuse the indexing with the arithmetic:
 
 * :meth:`~NumpyBackend.scatter_rows` — the segmented row reduction behind
   ``scatter_add``'s forward and ``gather``'s backward.  Values wider than
@@ -66,13 +65,8 @@ def _check_rows(indices: np.ndarray, num_rows: int, kernel: str) -> None:
 
 
 class NumpyBackend(ArrayBackend):
-    """Reference backend: compute and host arrays are both numpy."""
+    """The scipy sparse-product kernels on top of :class:`ArrayBackend`'s."""
 
-    name = "numpy"
-    xp = np
-    host_xp = np
-
-    # ------------------------------------------------------------------ #
     def scatter_rows(self, indices, values, num_rows: int):
         indices = np.asarray(indices)
         _check_rows(indices, num_rows, "scatter_rows")

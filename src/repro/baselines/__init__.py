@@ -7,11 +7,8 @@ entities receive randomly initialized embeddings.  Inductive methods (GEN,
 RuleN, GraIL, TACT) follow their published designs on top of this
 repository's KG/GNN substrate.
 
-Every baseline registers itself with :mod:`repro.registry` at import time;
-:func:`baseline_registry` remains as a deprecated shim over that registry.
+Every baseline registers itself with :mod:`repro.registry` at import time.
 """
-
-import warnings
 
 from repro.baselines.base import LinkPredictor, EmbeddingModel
 from repro.baselines.transe import TransE
@@ -42,20 +39,4 @@ __all__ = [
     "RuleN",
     "Grail",
     "TACT",
-    "baseline_registry",
 ]
-
-
-def baseline_registry() -> dict:
-    """Deprecated: name → class mapping for every baseline.
-
-    Use :func:`repro.registry.registered_models` instead, which also covers
-    the DEKG-ILP family and carries capability flags per model.
-    """
-    warnings.warn(
-        "baseline_registry() is deprecated; use repro.registry.registered_models()",
-        DeprecationWarning, stacklevel=2)
-    from repro.registry import registered_models
-
-    return {name: spec.factory for name, spec in registered_models().items()
-            if not spec.trainer_driven}

@@ -29,6 +29,18 @@ from repro.kg.sampling import NegativeSampler
 from repro.kg.triple import Triple
 
 
+def check_context_fits(model, graph: KnowledgeGraph, num_entities: Optional[int] = None,
+                       num_relations: Optional[int] = None) -> None:
+    """Refuse a context graph with more entities or relations than ``model``'s
+    tables hold, before any of its ids can index past them."""
+    for kind, size, needed in (("entities", num_entities, graph.num_entities),
+                               ("relations", num_relations, graph.num_relations)):
+        if size is not None and needed > size:
+            raise ValueError(
+                f"{model.name} was built for {size} {kind}, but the context "
+                f"graph has {needed}")
+
+
 class LinkPredictor(abc.ABC):
     """Protocol every model (DEKG-ILP wrapper included) implements for evaluation."""
 
@@ -144,6 +156,7 @@ class EmbeddingModel(CheckpointableModule, LinkPredictor, Module, abc.ABC):
 
     # ------------------------------------------------------------------ #
     def set_context(self, graph: KnowledgeGraph) -> None:
+        check_context_fits(self, graph, self.num_entities, self.num_relations)
         self._context = graph
 
     def score(self, triple: Triple) -> float:

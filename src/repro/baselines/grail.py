@@ -20,7 +20,7 @@ from repro.autodiff import functional as F
 from repro.autodiff.module import Module
 from repro.autodiff.optim import Adam, clip_grad_norm
 from repro.autodiff.tensor import Tensor, no_grad
-from repro.baselines.base import LinkPredictor
+from repro.baselines.base import LinkPredictor, check_context_fits
 from repro.core.gsm import GSM
 from repro.core.persistence import CheckpointableModule
 from repro.kg.graph import KnowledgeGraph
@@ -146,6 +146,7 @@ class Grail(CheckpointableModule, LinkPredictor, Module):
         return self._context
 
     def set_context(self, graph: KnowledgeGraph) -> None:
+        check_context_fits(self, graph, num_relations=self.num_relations)
         self._context = graph
 
     def score(self, triple: Triple) -> float:

@@ -41,7 +41,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.backend import known_backend_names, use_backend
 from repro.core.config import EvalConfig, TrainingConfig
 from repro.datasets.benchmark import build_benchmark, dataset_names, split_names
 from repro.eval.complexity import parameter_formula
@@ -80,10 +79,6 @@ def _add_training_arguments(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro",
                                      description="DEKG-ILP reproduction command line")
-    parser.add_argument("--backend", default=None, choices=known_backend_names(),
-                        help="array backend for the whole invocation "
-                             "(default: the REPRO_BACKEND environment "
-                             "variable, else numpy)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     dataset_parser = subparsers.add_parser("dataset", help="generate and export a benchmark dataset")
@@ -348,10 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The flag scopes the whole invocation; an unknown-but-registered backend
-    # whose library is missing (e.g. cupy here) fails fast with its reason.
-    with use_backend(args.backend):
-        return _COMMANDS[args.command](args)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

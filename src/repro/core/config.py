@@ -62,14 +62,6 @@ class ModelConfig:
     true-pair extractions are pinned on top of it (see
     :class:`repro.subgraph.provider.PinnedLRU`)."""
 
-    backend: Optional[str] = None
-    """Array backend the model runs on (see :mod:`repro.backend`).  ``None``
-    means "whatever is ambient" — the CLI ``--backend`` flag, an enclosing
-    :func:`repro.backend.use_backend` scope, the ``REPRO_BACKEND``
-    environment variable, or finally ``"numpy"``.  Stamped into checkpoints
-    as provenance; restoring under a different backend is allowed (results
-    are equivalent within floating-point reassociation tolerance)."""
-
     def __post_init__(self):
         if self.embedding_dim < 1 or self.gnn_hidden_dim < 1:
             raise ValueError("embedding dimensions must be positive")
@@ -81,13 +73,6 @@ class ModelConfig:
             raise ValueError("subgraph_hops must be >= 1")
         if self.subgraph_cache_size < 1:
             raise ValueError("subgraph_cache_size must be >= 1")
-        if self.backend is not None:
-            from repro.backend import known_backend_names
-
-            if self.backend not in known_backend_names():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; "
-                    f"choose from {known_backend_names()}")
 
 
 #: Prediction forms the filtered-ranking protocol understands.

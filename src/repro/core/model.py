@@ -33,10 +33,10 @@ from repro.subgraph.provider import SubgraphProvider, masked_edges
 
 
 #: ``ModelConfig`` fields that older checkpoints carry and restoring drops:
-#: cache-policy, snapshot-count and per-pair-extraction switches that never
-#: changed a score.
+#: cache-policy, snapshot-count, per-pair-extraction and array-backend
+#: switches that never changed a score.
 RETIRED_CONFIG_FIELDS = ("subgraph_cache_policy", "subgraph_cache_snapshots",
-                         "batched_extraction")
+                         "batched_extraction", "backend")
 
 
 class DEKGILP(Module):

@@ -50,7 +50,6 @@ from typing import Any, Dict, Optional, Protocol, Tuple, Union, runtime_checkabl
 
 import numpy as np
 
-from repro.backend import active_backend
 from repro.resilience import atomic_write_bytes, mangle
 
 PathLike = Union[str, Path]
@@ -260,21 +259,14 @@ def _model_header_and_arrays(model) -> Tuple[Dict[str, Any], Dict[str, np.ndarra
     if not spec.checkpointable:
         raise TypeError(
             f"model {spec.name!r} is registered with checkpointable=False")
-    backend = active_backend()
     header = {
         "kind": "model",
         "class": type(model).__name__,
         "name": getattr(model, "name", type(model).__name__),
         "seed": getattr(model, "seed", None),
-        # Provenance only: checkpoints are always host numpy arrays, so a
-        # model saved under one backend restores under any other (the format
-        # version does not change).  Loaders tolerate the key being absent.
-        "backend": backend.name,
         "model": model.checkpoint_header(),
     }
-    # Device backends hand back device arrays; materialize host-side so the
-    # npz payload is backend-independent.  On numpy this is a no-op view.
-    arrays = {name: backend.to_numpy(array)
+    arrays = {name: np.asarray(array)
               for name, array in model.checkpoint_arrays().items()}
     return header, arrays
 

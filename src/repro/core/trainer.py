@@ -20,7 +20,6 @@ import numpy as np
 from repro.autodiff import functional as F
 from repro.autodiff.optim import Adam, clip_grad_norm
 from repro.autodiff.tensor import Tensor
-from repro.backend import active_backend
 from repro.core.config import TrainingConfig
 from repro.core.contrastive import ContrastiveSampler, batch_contrastive_loss
 from repro.core.model import DEKGILP
@@ -315,13 +314,12 @@ class Trainer:
         path = Path(path) if path is not None else self.journal_path
         if path is None:
             raise ValueError("no journal path: pass one here or to Trainer()")
-        backend = active_backend()
-        arrays = {f"model/{name}": backend.to_numpy(array)
+        arrays = {f"model/{name}": array
                   for name, array in self.model.state_dict().items()}
         optim_state = self.optimizer.state_dict()
         for index in range(len(optim_state["m"])):
-            arrays[f"adam/m/{index}"] = backend.to_numpy(optim_state["m"][index])
-            arrays[f"adam/v/{index}"] = backend.to_numpy(optim_state["v"][index])
+            arrays[f"adam/m/{index}"] = optim_state["m"][index]
+            arrays[f"adam/v/{index}"] = optim_state["v"][index]
         header = {
             "kind": "journal",
             "model_class": type(self.model).__name__,

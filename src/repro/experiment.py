@@ -19,8 +19,7 @@ and a metrics JSON next to each other.
 The CLI (``python -m repro run/evaluate/compare``), the grid search, the
 link-prediction pipeline and the benchmark harness are all built on this
 module plus :mod:`repro.registry`; :func:`train_model` is the canonical
-one-call trainer the deprecated ``repro.utils.experiments.train_model`` shim
-delegates to.
+one-call trainer.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.backend import known_backend_names, resolve_backend_name, use_backend
 from repro.core.config import EvalConfig, ModelConfig, TrainingConfig
 from repro.core.persistence import save_model
 from repro.core.trainer import Trainer
@@ -98,6 +96,10 @@ _SECTION_TYPES = {
     "eval": EvalConfig,
 }
 
+#: Values of the retired top-level ``"backend"`` key that ``from_dict``
+#: drops: each ran the numpy kernels this code runs, bit for bit.
+RETIRED_BACKEND_VALUES = (None, "numpy", "tracing")
+
 
 def _section_from_dict(section_cls, data: Mapping[str, Any], path: str):
     allowed = {f.name for f in dataclasses.fields(section_cls)}
@@ -117,11 +119,6 @@ class ExperimentConfig:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     artifacts_dir: Optional[str] = None
-    backend: Optional[str] = None
-    """Array backend the run executes under (see :mod:`repro.backend`).
-    ``None`` defers to the ambient backend — the CLI ``--backend`` flag, an
-    enclosing :func:`repro.backend.use_backend`, the ``REPRO_BACKEND``
-    environment variable, or finally ``"numpy"``."""
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -145,13 +142,23 @@ class ExperimentConfig:
 
         data = {name: _plain(getattr(self, name)) for name in _SECTION_TYPES}
         data["artifacts_dir"] = self.artifacts_dir
-        data["backend"] = self.backend
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys at every level."""
-        allowed = set(_SECTION_TYPES) | {"artifacts_dir", "backend"}
+        """Inverse of :meth:`to_dict`; rejects unknown keys at every level.
+
+        A top-level ``"backend"`` from configs written before the key was
+        retired is dropped when it names a setting that ran this code's
+        numpy kernels (``null``, ``"numpy"``, ``"tracing"``).
+        """
+        if "backend" in data:
+            if data["backend"] not in RETIRED_BACKEND_VALUES:
+                raise ValueError(
+                    f"key 'backend' is retired and only accepts "
+                    f"{list(RETIRED_BACKEND_VALUES)}; got {data['backend']!r}")
+            data = {key: value for key, value in data.items() if key != "backend"}
+        allowed = set(_SECTION_TYPES) | {"artifacts_dir"}
         for key in data:
             if key not in allowed:
                 raise ValueError(
@@ -162,18 +169,13 @@ class ExperimentConfig:
             if not isinstance(section_data, Mapping):
                 raise ValueError(f"section {name!r} must be a mapping")
             sections[name] = _section_from_dict(section_cls, section_data, name)
-        config = cls(artifacts_dir=data.get("artifacts_dir"),
-                     backend=data.get("backend"), **sections)
+        config = cls(artifacts_dir=data.get("artifacts_dir"), **sections)
         config.validate()
         return config
 
     def validate(self) -> None:
         """Cross-section checks: the model exists, overrides are known and
         not pinned by the variant, and the training section applies."""
-        if self.backend is not None and self.backend not in known_backend_names():
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {known_backend_names()}")
         spec = get_spec(self.model.name)
         allowed = allowed_override_keys(self.model.name)
         for key in self.model.overrides:
@@ -392,10 +394,8 @@ class Experiment:
     def train(self, resume: bool = False):
         """Train (once) and return the configured model.
 
-        Runs under the config's ``backend`` (``None`` keeps the ambient
-        backend — CLI flag, ``REPRO_BACKEND``, or numpy).  When an artifacts
-        directory is configured, trainer-driven models journal their progress
-        to ``<artifacts>/journal.npz`` every
+        When an artifacts directory is configured, trainer-driven models
+        journal their progress to ``<artifacts>/journal.npz`` every
         ``TrainingConfig.checkpoint_every`` epochs; ``resume=True`` continues
         from that journal if it exists (bit-identical final parameters).
         """
@@ -405,15 +405,14 @@ class Experiment:
             journal = None
             if directory is not None and get_spec(section.name).trainer_driven:
                 journal = directory / "journal.npz"
-            with use_backend(self.config.backend):
-                self._model = train_model(
-                    section.name, self.dataset,
-                    epochs=self.config.training.epochs,
-                    embedding_dim=section.embedding_dim,
-                    seed=self.config.training.seed,
-                    training_config=self.config.training,
-                    overrides=section.overrides,
-                    journal_path=journal, resume=resume)
+            self._model = train_model(
+                section.name, self.dataset,
+                epochs=self.config.training.epochs,
+                embedding_dim=section.embedding_dim,
+                seed=self.config.training.seed,
+                training_config=self.config.training,
+                overrides=section.overrides,
+                journal_path=journal, resume=resume)
         return self._model
 
     def evaluate(self, resume: bool = False) -> EvaluationResult:
@@ -426,21 +425,20 @@ class Experiment:
         """
         if self._result is None:
             model = self.train(resume=resume)
-            with use_backend(self.config.backend):
-                evaluator = Evaluator.from_config(self.dataset, self.config.eval)
-                directory = self._artifacts_directory()
-                on_interrupt = None
-                if directory is not None:
-                    def on_interrupt(completed: int, total: int) -> None:
-                        atomic_write_json(directory / "eval.progress.json", {
-                            "kind": "eval-interrupt",
-                            "model": self.config.model.name,
-                            "completed_shards": completed,
-                            "total_shards": total,
-                        })
-                self._result = evaluator.evaluate(model,
-                                                  model_name=self.config.model.name,
-                                                  on_interrupt=on_interrupt)
+            evaluator = Evaluator.from_config(self.dataset, self.config.eval)
+            directory = self._artifacts_directory()
+            on_interrupt = None
+            if directory is not None:
+                def on_interrupt(completed: int, total: int) -> None:
+                    atomic_write_json(directory / "eval.progress.json", {
+                        "kind": "eval-interrupt",
+                        "model": self.config.model.name,
+                        "completed_shards": completed,
+                        "total_shards": total,
+                    })
+            self._result = evaluator.evaluate(model,
+                                              model_name=self.config.model.name,
+                                              on_interrupt=on_interrupt)
         return self._result
 
     # ------------------------------------------------------------------ #
@@ -484,7 +482,6 @@ class Experiment:
                 "model": result.model_name,
                 "dataset": result.dataset_name,
                 "split": result.split_name,
-                "backend": resolve_backend_name(self.config.backend),
                 "parameters": int(self._model.num_parameters()),
                 "metrics": result.summary(),
                 "config": effective.to_dict(),

@@ -12,8 +12,8 @@ induced from.  Any composition of subgraphs into union graphs — or none —
 therefore produces identical masks, which is what makes batched and
 sequential training loss-equivalent with dropout enabled.
 
-The splitmix64 uniform machinery itself now lives behind the backend seam
-(:mod:`repro.backend.counter_rng`) so that element-wise dropout
+The splitmix64 uniform machinery itself lives in
+:mod:`repro.backend.counter_rng` so that element-wise dropout
 (:func:`repro.autodiff.functional.dropout`) shares it; this module re-exports
 it unchanged and keeps the edge-dropout-specific state
 (:class:`DropoutClock`, :func:`counter_dropout_mask`).

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.backend import hxp
+import numpy as np
 
 from repro.autodiff.layers import Linear
 from repro.autodiff.module import Module
@@ -31,7 +31,7 @@ class SubgraphEncoder(Module):
         super().__init__()
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        rng = rng or hxp.random.default_rng()
+        rng = rng or np.random.default_rng()
         #: Shared (seed, epoch) counter for the layers' per-edge dropout —
         #: trainers advance `dropout_clock.epoch` so masks are redrawn per
         #: epoch but agree across batching strategies within one.

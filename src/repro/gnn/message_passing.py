@@ -5,7 +5,7 @@ destination nodes through :func:`repro.autodiff.tensor.scatter_add`, so one
 layer over ``E`` edges costs ``O(E * dim)`` in time and memory.  The R-GCN
 layer does this sum inside its fused
 :func:`~repro.autodiff.tensor.basis_message_passing` node instead, through
-the same backend kernel.  The previous implementation —
+the same ``scatter_rows`` kernel.  The previous implementation —
 kept as :func:`aggregate_messages_dense` for equivalence tests and
 benchmarking — materialized a dense ``(num_nodes, num_edges)`` one-hot scatter
 matrix per layer per subgraph, which dominated evaluation cost.
@@ -13,7 +13,9 @@ matrix per layer per subgraph, which dominated evaluation cost.
 
 from __future__ import annotations
 
-from repro.backend import active_backend, xp
+import numpy as np
+
+from repro.backend import kernels
 
 from repro.autodiff.tensor import Tensor, scatter_add
 
@@ -34,7 +36,7 @@ def aggregate_messages(messages: Tensor, destinations, num_nodes: int) -> Tensor
     Gradients flow to ``messages`` through the autodiff engine; the backward
     of the scatter is a plain row gather.
     """
-    destinations = active_backend().asindex(destinations)
+    destinations = np.asarray(destinations, dtype=np.int64)
     return scatter_add(messages, destinations, num_nodes)
 
 
@@ -45,18 +47,16 @@ def aggregate_messages_dense(messages: Tensor, destinations, num_nodes: int) -> 
     Retained only as the ground truth for equivalence tests and as the
     baseline in ``benchmarks/bench_message_passing.py``.
     """
-    backend = active_backend()
-    destinations = backend.asindex(destinations)
+    destinations = np.asarray(destinations, dtype=np.int64)
     num_edges = messages.shape[0]
-    scatter = xp.zeros((num_nodes, num_edges), dtype=backend.float_dtype)
-    scatter[destinations, xp.arange(num_edges)] = 1.0
+    scatter = np.zeros((num_nodes, num_edges), dtype=np.float64)
+    scatter[destinations, np.arange(num_edges)] = 1.0
     return Tensor(scatter) @ messages
 
 
 def degree_normalization(destinations, num_nodes: int):
     """Per-edge ``1 / in_degree(destination)`` normalization coefficients."""
-    backend = active_backend()
-    destinations = backend.asindex(destinations)
-    counts = backend.segment_counts(destinations, num_nodes)
-    counts = xp.where(counts == 0, 1.0, counts)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    counts = kernels.segment_counts(destinations, num_nodes)
+    counts = np.where(counts == 0, 1.0, counts)
     return (1.0 / counts)[destinations][:, None]

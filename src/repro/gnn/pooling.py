@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.backend import xp
+import numpy as np
 
 from repro.autodiff.tensor import Tensor, segment_mean
 
@@ -34,6 +34,6 @@ def max_pool_nodes(node_representations: Tensor) -> Tensor:
     Implemented with a softmax-free hard max on the forward values; gradients
     flow only to the selected entries via the indexing op.
     """
-    argmax = xp.argmax(node_representations.data, axis=0)
-    columns = xp.arange(node_representations.shape[1])
+    argmax = np.argmax(node_representations.data, axis=0)
+    columns = np.arange(node_representations.shape[1])
     return node_representations[argmax, columns]

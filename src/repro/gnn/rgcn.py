@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.backend import active_backend, hxp
+import numpy as np
 
 from repro.autodiff import init
 from repro.autodiff.layers import Linear
@@ -72,7 +72,7 @@ class RGCNLayer(Module):
         self.num_bases = min(num_bases, num_relations)
         self.use_attention = use_attention
 
-        rng = rng or hxp.random.default_rng()
+        rng = rng or np.random.default_rng()
         # Basis decomposition: W_r = sum_b coeff[r, b] * basis[b]
         self.basis = Parameter(init.xavier_uniform((self.num_bases, in_dim * out_dim), rng=rng))
         self.coefficients = Parameter(init.xavier_uniform((num_relations, self.num_bases), rng=rng))
@@ -171,11 +171,10 @@ class RGCNLayer(Module):
         scale = degree_normalization(destinations, num_nodes)  # (E, 1)
         if self.training and self.dropout_rate > 0:
             if edge_identity is None:
-                edge_identity = edge_keys(hxp.arange(num_nodes, dtype=hxp.int64), edges)
-            # The mask is drawn on the host; move it to the compute device.
-            scale = scale * active_backend().asarray(counter_dropout_mask(
+                edge_identity = edge_keys(np.arange(num_nodes, dtype=np.int64), edges)
+            scale = scale * counter_dropout_mask(
                 self.dropout_clock, self.layer_index, edge_identity,
-                self.dropout_rate))
+                self.dropout_rate)
         edge_weights = Tensor(scale)
         if self.attention is not None:
             edge_weights = self.attention_gate(

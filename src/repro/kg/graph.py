@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.backend import hxp as np  # host-side index math via the backend seam
+import numpy as np
 
 from repro.kg.triple import Triple
 from repro.kg.vocabulary import Vocabulary

@@ -28,9 +28,7 @@ and the capability flags the rest of the system branches on:
 
 The registry is the single construction path shared by the CLI, the
 :class:`repro.experiment.Experiment` facade, the grid search, the
-link-prediction pipeline and the benchmark harness; the legacy entry points
-(``repro.utils.experiments.train_model``, ``repro.baselines.
-baseline_registry``) are deprecation shims over it.
+link-prediction pipeline and the benchmark harness.
 
 Registration is decorator-based and happens where the model lives::
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from repro.backend import hxp as np  # host-side index math via the backend seam
+import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple

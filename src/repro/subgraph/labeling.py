@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from repro.backend import hxp as np  # host-side index math via the backend seam
+import numpy as np
 
 #: Sentinel distance for "not reachable within the hop budget".
 UNREACHABLE = -1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.backend import hxp as np  # host-side index math via the backend seam
+import numpy as np
 
 from repro.kg.graph import KnowledgeGraph
 

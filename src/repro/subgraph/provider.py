@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backend import hxp as np  # host-side index math via the backend seam
+import numpy as np
 
 from repro.kg.graph import CSRAdjacency, KnowledgeGraph
 from repro.kg.triple import Triple

@@ -1,12 +1,9 @@
-"""Shared utilities: seeding, timing, legacy experiment shims."""
+"""Shared utilities: seeding and timing."""
 
 from repro.utils.seed import set_global_seed
 from repro.utils.timing import Timer
-from repro.utils.experiments import train_model, available_models  # deprecated shims
 
 __all__ = [
     "set_global_seed",
     "Timer",
-    "train_model",
-    "available_models",
 ]

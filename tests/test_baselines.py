@@ -18,10 +18,10 @@ from repro.baselines import (
     SimplE,
     TACT,
     TransE,
-    baseline_registry,
 )
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import Triple
+from repro.registry import registered_models
 
 EMBEDDING_CLASSES = [TransE, RotatE, DistMult, ConvE,
                      ComplEx, HolE, ProjE, SimplE]
@@ -32,20 +32,20 @@ def train_graph(small_synthetic_graph):
     return small_synthetic_graph
 
 
+def _baselines() -> dict:
+    """Name → factory of every registered model that trains itself."""
+    return {name: spec.factory for name, spec in registered_models().items()
+            if not spec.trainer_driven}
+
+
 class TestRegistry:
-    # baseline_registry() is a deprecated shim over repro.registry; the old
-    # contract (name → class, warning on use) is pinned here.
     def test_all_paper_baselines_present(self):
-        with pytest.warns(DeprecationWarning):
-            registry = baseline_registry()
-        assert set(registry) == {"TransE", "RotatE", "DistMult", "ConvE",
-                                 "ComplEx", "HolE", "ProjE", "SimplE",
-                                 "GEN", "RuleN", "Grail", "TACT"}
+        assert set(_baselines()) == {"TransE", "RotatE", "DistMult", "ConvE",
+                                     "ComplEx", "HolE", "ProjE", "SimplE",
+                                     "GEN", "RuleN", "Grail", "TACT"}
 
     def test_registry_values_are_classes(self):
-        with pytest.warns(DeprecationWarning):
-            registry = baseline_registry()
-        for cls in registry.values():
+        for cls in _baselines().values():
             assert isinstance(cls, type)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.autodiff import functional as F
 from repro.autodiff.tensor import Tensor
-from repro.backend import active_backend
 from repro.gnn.edge_dropout import counter_dropout_mask, edge_keys
 from repro.gnn.encoder import SubgraphEncoder
 from repro.gnn.message_passing import aggregate_messages, degree_normalization
@@ -343,26 +342,6 @@ class TestRGCNEdgePath:
                     and array.size // num_edges >= layer.in_dim):
                 captured.append(array.shape)
         assert captured == []
-
-    @pytest.mark.parametrize("use_attention", [True, False])
-    def test_dropout_mask_moves_to_the_compute_backend(self, monkeypatch, use_attention):
-        """The mask is drawn as a host array; it must pass the backend's
-        ``asarray`` before it meets the device-side degree norm (on numpy the
-        two are the same kind of array, so a missed conversion is silent)."""
-        import repro.gnn.rgcn as rgcn_mod
-
-        masks, converted = [], []
-        draw_mask = rgcn_mod.counter_dropout_mask
-        monkeypatch.setattr(rgcn_mod, "counter_dropout_mask",
-                            lambda *args: masks.append(draw_mask(*args)) or masks[-1])
-        backend = active_backend()
-        to_device = backend.asarray
-        monkeypatch.setattr(backend, "asarray",
-                            lambda data: converted.append(data) or to_device(data))
-        layer, features, edges, _ = _edge_path_case(use_attention, dropout=0.5)
-        layer(Tensor(features), edges)
-        assert len(masks) == 1
-        assert any(data is masks[0] for data in converted)
 
     @pytest.mark.parametrize("use_attention,dropout", EDGE_PATH_CASES)
     def test_gradcheck_input_and_every_parameter(self, use_attention, dropout):

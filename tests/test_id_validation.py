@@ -7,6 +7,10 @@ never a bool) inside the context graph's vocabulary.  Anything else raises
 of scoring ``relation = -1`` as the last relation, ``head = True`` as
 entity 1, ``head = 1.7`` as entity 1, or leaking numpy's ``IndexError``.
 Valid ids in any integer type score exactly like Python ints.
+
+The context graph itself is checked where a model binds it: ``set_context``
+refuses a graph with more entities or relations than the model's tables,
+so serving, the ``Evaluator`` and the pipeline refuse it before scoring.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from repro.core.config import ModelConfig, TrainingConfig
 from repro.core.model import DEKGILP
 from repro.core.pipeline import LinkPredictionPipeline
 from repro.eval.evaluator import Evaluator
+from repro.kg.graph import KnowledgeGraph
 from repro.kg.triple import InvalidTriple, Triple
-from repro.serving import InvalidRequest
+from repro.registry import build_model, model_names
+from repro.serving import InvalidRequest, ScoringService
 
 #: Stands for the first id past the context graph's vocabulary.
 PAST_VOCAB = object()
@@ -95,7 +101,6 @@ def test_evaluator_numpy_and_tuple_ids_rank_like_triples(evaluator_and_model,
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def pipeline():
-    from repro.kg.graph import KnowledgeGraph
     from repro.kg.vocabulary import Vocabulary
 
     vocab = Vocabulary()
@@ -152,3 +157,48 @@ def test_pipeline_integer_types_score_alike(pipeline):
     assert pipeline.score("e0", "r2", "e2") == expected
     tails = pipeline.predict_tail(0, 0, candidates=[np.int64(1), 2])
     assert tails == pipeline.predict_tail(0, 0, candidates=[1, 2])
+
+
+# --------------------------------------------------------------------- #
+# a context graph larger than the model's tables
+# --------------------------------------------------------------------- #
+def _small_model(name):
+    """``name`` built for 6 entities and 3 relations."""
+    return build_model(name, num_entities=6, num_relations=3, embedding_dim=8, seed=0)
+
+
+#: One more entity, or one more relation, than ``_small_model``'s tables.
+LARGER_GRAPHS = {
+    "entities": lambda: KnowledgeGraph(7, 3, [Triple(0, 0, 1), Triple(5, 2, 6)]),
+    "relations": lambda: KnowledgeGraph(6, 4, [Triple(0, 0, 1), Triple(4, 3, 5)]),
+}
+
+#: (model, table kind) for every registered model that records the size of
+#: that table; RuleN records neither and scores an unknown relation as 0.
+VOCABULARY_CASES = [
+    pytest.param(name, kind, id=f"{name}-{kind}")
+    for name in model_names()
+    for kind in LARGER_GRAPHS
+    if hasattr(_small_model(name), f"num_{kind}")
+]
+
+
+@pytest.mark.parametrize("name,kind", VOCABULARY_CASES)
+def test_set_context_refuses_a_larger_graph(name, kind):
+    with pytest.raises(ValueError, match=kind[:6]):
+        _small_model(name).set_context(LARGER_GRAPHS[kind]())
+
+
+@pytest.mark.parametrize("name,kind", VOCABULARY_CASES)
+def test_scoring_service_refuses_a_larger_graph(name, kind):
+    with pytest.raises(ValueError, match=kind[:6]):
+        ScoringService({name: _small_model(name)}, LARGER_GRAPHS[kind]())
+
+
+def test_refusal_names_the_model_and_both_sizes():
+    with pytest.raises(ValueError, match="TransE was built for 6 entities, but the "
+                                         "context graph has 7"):
+        _small_model("TransE").set_context(LARGER_GRAPHS["entities"]())
+    with pytest.raises(ValueError, match="Grail was built for 3 relations, but the "
+                                         "context graph has 4"):
+        _small_model("Grail").set_context(LARGER_GRAPHS["relations"]())

@@ -17,7 +17,7 @@ class TinyNet(Module):
         super().__init__()
         self.linear1 = Linear(3, 4, rng=np.random.default_rng(0))
         self.linear2 = Linear(4, 1, rng=np.random.default_rng(1))
-        self.dropout = Dropout(0.5, rng=np.random.default_rng(2))
+        self.dropout = Dropout(0.5, seed=2)
         self.layers = [Linear(2, 2, rng=np.random.default_rng(3))]
         self.lookup = {"embed": Embedding(5, 3, rng=np.random.default_rng(4))}
 
@@ -128,7 +128,7 @@ class TestLayers:
             Dropout(1.0)
 
     def test_dropout_eval_identity(self):
-        layer = Dropout(0.9, rng=np.random.default_rng(0))
+        layer = Dropout(0.9, seed=0)
         layer.eval()
         x = Tensor(np.ones(100))
         np.testing.assert_array_equal(layer(x).data, x.data)

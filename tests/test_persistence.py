@@ -117,8 +117,9 @@ class TestLegacyFormatV1:
 
 class TestRetiredConfigFields:
     """DEKG-ILP checkpoints written while ``ModelConfig`` still carried the
-    cache-policy, snapshot-count and per-pair-extraction switches restore
-    and score bit-identically, whatever values those fields hold."""
+    cache-policy, snapshot-count, per-pair-extraction and array-backend
+    switches restore and score bit-identically, whatever values those fields
+    hold."""
 
     @pytest.mark.parametrize("policy, snapshots, batched", [
         ("corruption_aware", 1, True),
@@ -141,9 +142,33 @@ class TestRetiredConfigFields:
         np.testing.assert_array_equal(trained_model.score_many(triples),
                                       restored.score_many(triples))
 
+    @pytest.mark.parametrize("config_backend, header_backend", [
+        (None, "numpy"),
+        ("numpy", "numpy"),
+        ("tracing", "tracing"),
+    ])
+    def test_checkpoint_with_a_backend_restores_scores(
+            self, trained_model, tiny_graph, tmp_path, config_backend, header_backend):
+        """Checkpoints once stamped the array backend into their header and
+        carried ``ModelConfig.backend``; ``numpy`` and ``tracing`` computed
+        the same bits."""
+        header, arrays = read_archive(save_model(trained_model, tmp_path / "model.npz"))
+        assert "backend" not in header
+        header["backend"] = header_backend
+        header["model"]["init"]["config"]["backend"] = config_backend
+        (tmp_path / "old.npz").write_bytes(pack_archive(header, arrays))
+        restored = load_model(tmp_path / "old.npz")
+        assert restored.config == trained_model.config
+        trained_model.eval()
+        trained_model.set_context(tiny_graph)
+        restored.set_context(tiny_graph)
+        triples = [Triple(0, 0, 1), Triple(0, 1, 2), Triple(3, 0, 4)]
+        np.testing.assert_array_equal(trained_model.score_many(triples),
+                                      restored.score_many(triples))
+
     @pytest.mark.parametrize("field", ["subgraph_cache_policy",
                                        "subgraph_cache_snapshots",
-                                       "batched_extraction"])
+                                       "batched_extraction", "backend"])
     def test_config_json_setting_a_retired_field_is_rejected(self, field):
         from repro.experiment import ExperimentConfig
 

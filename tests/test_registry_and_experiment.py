@@ -117,6 +117,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="workers"):
             ExperimentConfig.from_dict({"eval": {"workers": 0}})
 
+    @pytest.mark.parametrize("backend", [None, "numpy", "tracing"])
+    def test_retired_backend_key_is_dropped(self, backend):
+        """Configs written while the top-level ``backend`` key existed load
+        as the same run when it named a setting that ran numpy."""
+        config = ExperimentConfig.default("Grail")
+        assert ExperimentConfig.from_dict({**config.to_dict(), "backend": backend}) == config
+
+    @pytest.mark.parametrize("backend", ["cupy", "torch", 1])
+    def test_retired_backend_key_with_another_value_is_rejected(self, backend):
+        with pytest.raises(ValueError, match=f"'backend'.*{backend!r}"):
+            ExperimentConfig.from_dict({"backend": backend})
+
 
 @pytest.fixture(scope="module")
 def fast_config():
@@ -237,6 +249,19 @@ class TestCLIEntryPoints:
         assert main(["run", "--config", str(tmp_path / "w2.json")]) == 0
         sharded = capsys.readouterr().out
         assert sharded == sequential
+
+    def test_run_replays_a_config_with_a_retired_backend(self, fast_config, tmp_path,
+                                                           capsys):
+        """Every ``config.json`` written while ``ExperimentConfig`` had a
+        ``backend`` field carries ``"backend": null``; it replays as the run
+        without the key."""
+        fast_config.save(tmp_path / "exp.json")
+        (tmp_path / "old.json").write_text(json.dumps({**fast_config.to_dict(),
+                                                       "backend": None}))
+        assert main(["run", "--config", str(tmp_path / "exp.json")]) == 0
+        expected = capsys.readouterr().out
+        assert main(["run", "--config", str(tmp_path / "old.json")]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_run_writes_artifacts(self, tmp_path, capsys):
         ExperimentConfig(
@@ -360,14 +385,6 @@ class TestOverrideRouting:
             grid_search(small_benchmark, grid={"contrastive_weight": (0.0, 0.5)},
                         epochs=1, max_candidates=5, seed=0, model="DEKG-ILP-C")
 
-    def test_sharding_modelspec_alias_warns(self):
-        import repro.eval.sharding as sharding
-        from repro.eval.sharding import ReplicaSpec
-
-        with pytest.warns(DeprecationWarning, match="ReplicaSpec"):
-            alias = sharding.ModelSpec
-        assert alias is ReplicaSpec
-
     def test_unknown_baseline_override_rejected(self, small_benchmark):
         with pytest.raises(ValueError, match="'model.overrides.embeding_dim'"):
             ExperimentConfig.from_dict(
@@ -438,40 +455,3 @@ class TestUnregisteredCheckpointables:
         spec = make_model_spec(model)
         assert spec.kind == "pickle"
         assert isinstance(restore_model(spec), _UnregisteredTransE)
-
-
-class TestDeprecatedShims:
-    """The pre-registry entry points keep working, with a DeprecationWarning."""
-
-    def test_train_model_shim(self, small_benchmark):
-        from repro.utils.experiments import train_model as legacy_train_model
-
-        with pytest.warns(DeprecationWarning, match="repro.experiment.train_model"):
-            model = legacy_train_model("TransE", small_benchmark, epochs=1,
-                                       embedding_dim=8, seed=0)
-        assert model.name == "TransE"
-        assert model.num_parameters() > 0
-
-    def test_available_models_shim(self):
-        from repro.utils.experiments import available_models as legacy_available_models
-
-        with pytest.warns(DeprecationWarning, match="model_names"):
-            names = legacy_available_models()
-        assert names == model_names()
-
-    def test_baseline_registry_shim(self):
-        from repro.baselines import TransE, baseline_registry
-
-        with pytest.warns(DeprecationWarning, match="registered_models"):
-            registry = baseline_registry()
-        assert registry["TransE"] is TransE
-        assert "DEKG-ILP" not in registry  # trainer-driven models excluded, as before
-
-    def test_legacy_variant_constant_matches_registry(self):
-        from repro.utils.experiments import DEKG_ILP_VARIANTS
-
-        specs = registered_models()
-        for name, overrides in DEKG_ILP_VARIANTS.items():
-            spec = specs[name]
-            merged = {**spec.model_overrides, **spec.training_overrides}
-            assert merged == overrides
