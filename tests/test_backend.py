@@ -7,6 +7,8 @@
   classes, at call time, so a wrapper installed on ``NumpyBackend`` or
   ``ArrayBackend`` after import (perfbench's ``kernels.*`` probes) sees every
   call;
+* **backend provenance** — ``ModelConfig`` names no array backend, so a
+  model config that sets one is refused;
 * **counter-seeded dropout** and its splitmix64 building blocks.
 """
 
@@ -31,6 +33,7 @@ from repro.backend import ArrayBackend, NumpyBackend
 from repro.backend.counter_rng import edge_keys, element_keys, uniform_from_keys
 from repro.core.config import ModelConfig
 from repro.core.model import DEKGILP
+from repro.experiment import ExperimentConfig
 from repro.kg.triple import Triple
 
 
@@ -343,6 +346,20 @@ class TestKernelDispatch:
         scores.sum().backward()
         unseen = [name for _, name in _SPIED_KERNELS if not kernel_calls[name]]
         assert unseen == []
+
+
+# ----------------------------------------------------------------------- #
+# backend provenance
+# ----------------------------------------------------------------------- #
+class TestBackendProvenance:
+    def test_model_config_rejects_unknown_backend(self):
+        """Checkpoints that carry ``backend`` still restore (the field is
+        retired), but a new config cannot set it, in code or in JSON."""
+        with pytest.raises(TypeError, match="backend"):
+            ModelConfig(backend="torch")
+        config = {"model": {"name": "DEKG-ILP", "overrides": {"backend": "torch"}}}
+        with pytest.raises(ValueError, match="unknown key 'model.overrides.backend'"):
+            ExperimentConfig.from_dict(config)
 
 
 # ----------------------------------------------------------------------- #

@@ -168,7 +168,7 @@ class TestRetiredConfigFields:
 
     @pytest.mark.parametrize("field", ["subgraph_cache_policy",
                                        "subgraph_cache_snapshots",
-                                       "batched_extraction", "backend"])
+                                       "batched_extraction"])
     def test_config_json_setting_a_retired_field_is_rejected(self, field):
         from repro.experiment import ExperimentConfig
 
