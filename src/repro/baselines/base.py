@@ -112,6 +112,7 @@ class EmbeddingModel(CheckpointableModule, LinkPredictor, Module, abc.ABC):
 
     # ------------------------------------------------------------------ #
     def fit(self, train_graph: KnowledgeGraph, epochs: int = 10) -> "EmbeddingModel":
+        check_context_fits(self, train_graph, self.num_entities, self.num_relations)
         self.train()
         self._trained_entities = set(train_graph.entities())
         sampler = NegativeSampler(train_graph, num_negatives=self.num_negatives, seed=self.seed)

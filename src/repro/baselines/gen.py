@@ -41,12 +41,10 @@ class GEN(DistMult):
         rng = np.random.default_rng(self.seed)
         #: Relation-aware aggregation transform applied to neighbour embeddings.
         self.aggregation_weight = Parameter(init.xavier_uniform((embedding_dim, embedding_dim), rng=rng))
-        self._train_graph: Optional[KnowledgeGraph] = None
         self._inductive_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     def fit(self, train_graph: KnowledgeGraph, epochs: int = 10) -> "GEN":
-        self._train_graph = train_graph
         super().fit(train_graph, epochs=epochs)
         # Meta-simulation pass: re-estimate a random subset of entities from
         # their neighbours so the aggregation transform is fitted.

@@ -109,6 +109,7 @@ class Grail(CheckpointableModule, LinkPredictor, Module):
                                             edges_list)
 
     def fit(self, train_graph: KnowledgeGraph, epochs: int = 10) -> "Grail":
+        check_context_fits(self, train_graph, num_relations=self.num_relations)
         self.train()
         self._context = train_graph
         sampler = NegativeSampler(train_graph, num_negatives=1, seed=self.seed)

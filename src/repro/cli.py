@@ -317,9 +317,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         print(f"training from {args.config} ...", file=sys.stderr)
         service = ScoringService.from_experiment(args.config, **kwargs)
     else:
-        service = ScoringService.from_checkpoint(
-            args.checkpoint, dataset_name=args.name, split=args.split,
-            scale=args.scale, seed=args.seed, **kwargs)
+        try:
+            service = ScoringService.from_checkpoint(
+                args.checkpoint, dataset_name=args.name, split=args.split,
+                scale=args.scale, seed=args.seed, **kwargs)
+        except ValueError as error:
+            # e.g. a checkpoint whose tables are smaller than the served graph
+            raise SystemExit(f"cannot serve {args.checkpoint!r}: {error}") from error
     print(f"serving {service.model_names} on {args.host}:{args.port} "
           "(Ctrl-C or SIGTERM drains and exits)", file=sys.stderr)
     stats_path = run_daemon(service, host=args.host, port=args.port)

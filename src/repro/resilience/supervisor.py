@@ -37,7 +37,10 @@ an async dispatch loop that supervises every task individually:
   imported :data:`repro.eval.sharding.WORKER_PRELOAD` once per process,
   instead of each booting an interpreter and importing it again (``spawn``
   remains elsewhere); every worker runs with the caller's environment as it
-  was when the pool started;
+  was when the pool started, and keeps the heap it frees (see
+  :func:`_server_environment`);
+* **no idle hand-offs** — a finished task wakes the supervision loop, which
+  hands its slot the next task at once instead of at its next poll;
 * **a BLAS thread budget** — workers compute at the same time, so each one
   runs one BLAS/OpenMP thread instead of one per core (see
   :func:`_worker_thread_budget`).
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -73,6 +77,16 @@ START_METHOD = "forkserver" if sys.platform.startswith("linux") else "spawn"
 #: Thread-count variables read by the BLAS/OpenMP runtimes numpy may load.
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+#: glibc allocator thresholds the fork server starts with (mallopt(3)): a
+#: buffer below 32 MiB, glibc's 64-bit maximum, comes from the heap instead
+#: of its own mapping, and a freed heap top is returned to the kernel only
+#: past 256 MiB, far above a worker's heap.
+_ALLOCATOR_THRESHOLDS = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+                         "MALLOC_TRIM_THRESHOLD_": str(256 << 20)}
+
+#: Variables through which a user already tunes glibc's allocator.
+_ALLOCATOR_SETTINGS = tuple(_ALLOCATOR_THRESHOLDS) + ("GLIBC_TUNABLES",)
 
 
 def usable_cores() -> int:
@@ -97,6 +111,20 @@ def worker_pids(pool) -> set:
 
 
 @contextmanager
+def _environment(changes: Dict[str, str]):
+    """Set ``changes`` in ``os.environ`` for the block, then restore it."""
+    previous = {name: os.environ.get(name) for name in changes}
+    os.environ.update(changes)
+    try:
+        yield
+    finally:
+        for name, value in previous.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _worker_thread_budget():
     """Give workers started inside this block one BLAS thread each.
 
@@ -112,20 +140,13 @@ def _worker_thread_budget():
     too, count as they were when the server started.
     """
     if any(name in os.environ for name in THREAD_VARIABLES):
-        yield
-        return
-    for name in THREAD_VARIABLES:
-        os.environ[name] = "1"
-    try:
-        yield
-    finally:
-        for name in THREAD_VARIABLES:
-            os.environ.pop(name, None)
+        return _environment({})
+    return _environment(dict.fromkeys(THREAD_VARIABLES, "1"))
 
 
-@contextmanager
-def _server_import_path():
-    """Give a fork server started inside this block the parent's ``sys.path``.
+def _server_environment():
+    """Start a fork server inside this block with the parent's ``sys.path``
+    and fixed allocator thresholds.
 
     CPython 3.10 and 3.11's ``forkserver.main`` never applies the
     ``sys_path`` it is handed and swallows each preload's ``ImportError``,
@@ -133,16 +154,19 @@ def _server_import_path():
     time (an uninstalled checkout, perfbench) would silently not be
     preloaded.  The server's interpreter reads ``PYTHONPATH`` when it
     starts instead.
+
+    glibc's default thresholds return freed array buffers to the kernel, so
+    a fresh worker faults the same pages in again for every buffer it
+    allocates.  The server starts with :data:`_ALLOCATOR_THRESHOLDS`, which
+    every worker forked from it inherits, so a worker reuses the heap it
+    freed.  If the user set either threshold or ``GLIBC_TUNABLES``, neither
+    is touched.  Other C libraries ignore these names, and the parent's own
+    allocator, set up long ago, is unaffected.
     """
-    previous = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = os.pathsep.join(str(entry) for entry in sys.path)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("PYTHONPATH", None)
-        else:
-            os.environ["PYTHONPATH"] = previous
+    changes = {"PYTHONPATH": os.pathsep.join(str(entry) for entry in sys.path)}
+    if not any(name in os.environ for name in _ALLOCATOR_SETTINGS):
+        changes.update(_ALLOCATOR_THRESHOLDS)
+    return _environment(changes)
 
 
 def _worker_context():
@@ -159,7 +183,7 @@ def _worker_context():
         from repro.eval.sharding import WORKER_PRELOAD  # it imports this module
 
         context.set_forkserver_preload(list(WORKER_PRELOAD))
-        with _server_import_path():
+        with _server_environment():
             forkserver.ensure_running()
     return context
 
@@ -184,7 +208,9 @@ class RetryPolicy:
     """Upper bound on the retry delay."""
 
     poll_interval: float = 0.02
-    """Supervision loop sleep when nothing is ready."""
+    """Longest the supervision loop idles: a finished task wakes it at once,
+    and worker liveness, start announcements and deadlines are read at
+    least this often."""
 
     def __post_init__(self):
         if self.timeout is not None and self.timeout <= 0:
@@ -266,9 +292,10 @@ class SupervisedPool:
     imports :data:`repro.eval.sharding.WORKER_PRELOAD` and stays up, idle,
     until this process exits; later runs fork their workers from it.  Each
     worker runs with the caller's ``os.environ`` as it was when its pool
-    started, plus the thread budget, but numpy's BLAS thread count and
-    anything else a preloaded module read at import are fixed by the
-    environment the server started with.
+    started, plus the thread budget, but numpy's BLAS thread count, glibc's
+    allocator thresholds and anything else read at start-up or by a
+    preloaded module at import are fixed by the environment the server
+    started with.
     """
 
     def __init__(self, processes: int,
@@ -383,6 +410,12 @@ class SupervisedPool:
         completed = 0
         tick = 0
         known_pids = worker_pids(pool)
+        #: Set from the pool's result thread when any attempt finishes, so
+        #: the loop hands out the next task at once, not at its next poll.
+        finished = threading.Event()
+
+        def wake(_):
+            finished.set()
 
         def live_slots() -> int:
             return self.processes - len(lost_pids) - anonymous_losses
@@ -404,6 +437,11 @@ class SupervisedPool:
             fire("supervisor", tick)
             tick += 1
             progressed = False
+            # Cleared before the checks, never between them and the wait: a
+            # task finishing after this line is either seen below or cuts
+            # the wait short.  (The pool marks a result ready just after its
+            # callback; one landing in that gap waits one poll at most.)
+            finished.clear()
             now = time.monotonic()
 
             # Promote backed-off retries whose delay has elapsed.
@@ -411,14 +449,15 @@ class SupervisedPool:
             if due:
                 waiting[:] = [entry for entry in waiting if entry[0] > now]
                 for _, index, attempt in due:
-                    self._submit(pool, inflight, func, payloads, index, attempt)
+                    self._submit(pool, inflight, func, payloads, index, attempt,
+                                 wake)
                     progressed = True
 
             # First submissions, capped at the believed-live slot count so
             # deadlines measure running time, not queue time.
             while pending and live_slots() > 0 and len(inflight) < live_slots():
                 index = pending.pop(0)
-                self._submit(pool, inflight, func, payloads, index, 0)
+                self._submit(pool, inflight, func, payloads, index, 0, wake)
                 progressed = True
 
             # Poll worker liveness before draining announcements: a worker
@@ -510,13 +549,15 @@ class SupervisedPool:
                 break
 
             if not progressed:
-                time.sleep(policy.poll_interval)
+                finished.wait(policy.poll_interval)
         return sum(1 for value in results if value is not _PENDING)
 
     # ------------------------------------------------------------------ #
-    def _submit(self, pool, inflight, func, payloads, index: int, attempt: int) -> None:
+    def _submit(self, pool, inflight, func, payloads, index: int, attempt: int,
+                wake: Callable[[Any], None]) -> None:
         deadline = (time.monotonic() + self.policy.timeout
                     if self.policy.timeout is not None else None)
         handle = pool.apply_async(_supervised_call,
-                                  (func, index, payloads[index], attempt))
+                                  (func, index, payloads[index], attempt),
+                                  callback=wake, error_callback=wake)
         inflight[index] = _InFlight(handle=handle, attempt=attempt, deadline=deadline)

@@ -5,8 +5,10 @@ request is a list of triples for one model and resolves through a
 :class:`concurrent.futures.Future`.  The coalescer accumulates submissions
 in a queue and flushes them on a single worker thread when either side of
 the latency budget trips: the oldest request has waited ``max_wait_ms``, or
-``max_batch`` triples are pending.  Serializing all model compute onto the
-flush thread is also what makes the daemon safe for thread-per-connection
+``max_batch`` triples are pending.  Waiting only ever finds a fusion
+partner for a request that can fuse (below), so a queue holding one that
+cannot is flushed at once.  Serializing all model compute onto the flush
+thread is also what makes the daemon safe for thread-per-connection
 transports — the models themselves are never entered concurrently.
 
 **The unit of compute is the request.**  Subgraph/convolution models
@@ -171,10 +173,13 @@ class RequestCoalescer:
                     return
                 if not self._closed:
                     # Latency budget: flush when the oldest request has
-                    # waited max_wait_ms or max_batch triples are pending.
+                    # waited max_wait_ms or max_batch triples are pending,
+                    # and at once when a queued request cannot fuse.
                     deadline = self._queue[0].enqueued_at + self.max_wait_ms / 1000.0
                     while (not self._closed
-                           and self._queued_triples < self.max_batch):
+                           and self._queued_triples < self.max_batch
+                           and all(self._fusable(request.model)
+                                   for request in self._queue)):
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
                             break

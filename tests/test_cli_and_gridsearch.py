@@ -96,6 +96,28 @@ class TestCLIErrorPaths:
         with pytest.raises((SystemExit, OSError)):
             main(["run", "--config", str(tmp_path / "missing.json")])
 
+    def test_serve_refuses_a_checkpoint_that_does_not_fit(self, tmp_path, monkeypatch):
+        import repro.serving
+        from repro.core.persistence import save_model
+        from repro.datasets.benchmark import build_benchmark
+        from repro.registry import build_model
+
+        # Trained at scale 0.2, served at the default --scale 0.4.
+        graph = build_benchmark("fb15k-237", "EQ", seed=0, scale=0.2).train_graph
+        model = build_model("TransE", num_entities=graph.num_entities,
+                            num_relations=graph.num_relations, embedding_dim=8, seed=0)
+        path = save_model(model.fit(graph, epochs=1), tmp_path / "model.npz")
+
+        def no_daemon(*args, **kwargs):
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(repro.serving, "run_daemon", no_daemon)
+        served = build_benchmark("fb15k-237", "EQ", seed=0, scale=0.4)
+        with pytest.raises(SystemExit, match=(
+                f"TransE was built for {graph.num_entities} entities, but the "
+                f"context graph has {served.split.evaluation_graph().num_entities}")):
+            main(["serve", "--checkpoint", str(path)])
+
     def test_cache_size_rejected_on_cacheless_baseline(self):
         # HolE scores triples directly from embeddings; it owns no
         # subgraph-extraction cache, so the flag must fail fast rather than

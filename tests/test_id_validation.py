@@ -10,7 +10,8 @@ Valid ids in any integer type score exactly like Python ints.
 
 The context graph itself is checked where a model binds it: ``set_context``
 refuses a graph with more entities or relations than the model's tables,
-so serving, the ``Evaluator`` and the pipeline refuse it before scoring.
+so serving, the ``Evaluator`` and the pipeline refuse it before scoring,
+and ``fit`` refuses such a training graph before the first step.
 """
 
 from __future__ import annotations
@@ -187,6 +188,24 @@ VOCABULARY_CASES = [
 def test_set_context_refuses_a_larger_graph(name, kind):
     with pytest.raises(ValueError, match=kind[:6]):
         _small_model(name).set_context(LARGER_GRAPHS[kind]())
+
+
+#: The cases whose model fits itself; the DEKG-ILP family is trained by the
+#: ``Trainer`` and has no ``fit``.
+FIT_CASES = [case for case in VOCABULARY_CASES
+             if hasattr(_small_model(case.values[0]), "fit")]
+
+
+@pytest.mark.parametrize("name,kind", FIT_CASES)
+def test_fit_refuses_a_larger_graph(name, kind):
+    model = _small_model(name)
+    before = model.state_dict()
+    with pytest.raises(ValueError, match=kind[:6]):
+        model.fit(LARGER_GRAPHS[kind](), epochs=1)
+    after = model.state_dict()
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
 
 
 @pytest.mark.parametrize("name,kind", VOCABULARY_CASES)

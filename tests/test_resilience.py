@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -43,6 +44,13 @@ from repro.resilience.supervisor import START_METHOD, THREAD_VARIABLES
 #: The package root, put on a fresh interpreter's ``sys.path`` at run time
 #: (not through ``PYTHONPATH``) by the subprocess tests below.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: glibc allocator settings; the fork server starts with the two thresholds
+#: unless the user set any of the three.
+ALLOCATOR_VARIABLES = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+                       "GLIBC_TUNABLES")
+SERVER_THRESHOLDS = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+                     "MALLOC_TRIM_THRESHOLD_": str(256 << 20)}
 
 
 @pytest.fixture(autouse=True)
@@ -194,11 +202,19 @@ def _sleepy(index, payload, attempt):
     return payload
 
 
+def _nap(index, payload, attempt):
+    time.sleep(0.01)
+    return payload * 2
+
+
 def _fallback(index, payload):
     return payload * 2
 
 
 _FAST = dict(backoff_base=0.01, poll_interval=0.01)
+
+_needs_fork_server = pytest.mark.skipif(
+    START_METHOD != "forkserver", reason="workers are spawned on this platform")
 
 
 class TestRetryPolicy:
@@ -265,6 +281,17 @@ class TestSupervisedPool:
         # Detected via worker liveness, not by waiting out the 30s deadline.
         assert time.monotonic() - start < 25.0
         assert "worker-died" in [event.kind for event in pool.events]
+
+    @_needs_fork_server
+    def test_a_finished_task_hands_its_slot_on_at_once(self):
+        # One worker, so each task waits for the one before it.  Hand-offs
+        # that waited for the next poll would cost about 0.25 s each.
+        SupervisedPool(processes=1, policy=RetryPolicy(**_FAST)).run(
+            _double, [1], _fallback)  # the fork server is up from here on
+        pool = SupervisedPool(processes=1, policy=RetryPolicy(poll_interval=0.25))
+        start = time.monotonic()
+        assert pool.run(_nap, list(range(8)), _fallback) == [2 * i for i in range(8)]
+        assert time.monotonic() - start < 1.0
 
     def test_interrupt_reports_progress_and_reraises(self):
         # An injected parent-side interrupt on the supervision loop's third
@@ -373,13 +400,14 @@ def _run_fresh(tmp_path, source, timeout=120.0):
     """Run ``source`` as a script in a fresh interpreter; return its output.
 
     ``PYTHONPATH`` is dropped, so the script finds the package only through
-    the ``sys.path`` entry it adds itself.  The script runs in its own
+    the ``sys.path`` entry it adds itself; so are the thread and allocator
+    variables the pool may set, and a fault plan.  The script runs in its own
     process group, which is stopped, workers included, when it outlives
     ``timeout``.
     """
     script = tmp_path / "script.py"
     script.write_text(textwrap.dedent(source).replace("SRC", repr(SRC)))
-    dropped = ("PYTHONPATH", "REPRO_FAULTS") + THREAD_VARIABLES
+    dropped = ("PYTHONPATH", "REPRO_FAULTS") + THREAD_VARIABLES + ALLOCATOR_VARIABLES
     env = {key: value for key, value in os.environ.items() if key not in dropped}
     process = subprocess.Popen([sys.executable, str(script)], cwd=tmp_path, env=env,
                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -399,10 +427,6 @@ def _run_fresh(tmp_path, source, timeout=120.0):
         pytest.fail(f"{script.name} did not finish within {timeout:.0f}s")
     assert process.returncode == 0, stderr
     return stdout, stderr
-
-
-_needs_fork_server = pytest.mark.skipif(
-    START_METHOD != "forkserver", reason="workers are spawned on this platform")
 
 
 class TestForkServer:
@@ -479,6 +503,66 @@ class TestForkServer:
         assert len(reports) == 6
         for count, variable in reports:
             assert variable is not None and count == int(variable)
+
+    @_needs_fork_server
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the allocator thresholds are glibc's")
+    @pytest.mark.parametrize("setting", [
+        pytest.param({}, id="unset"),
+        pytest.param({"MALLOC_TRIM_THRESHOLD_": "131072"}, id="trim-threshold"),
+        pytest.param({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+                     id="tunables"),
+    ])
+    def test_workers_keep_the_heap_they_free(self, tmp_path, setting):
+        # The task allocates and frees buffers of growing size, twice, and
+        # reads the allocator variables its fork server started with.
+        # glibc's defaults hand each freed buffer back to the kernel, so the
+        # next one faults its pages in again: 11-14K faults on a 2-core VM
+        # with glibc 2.36, against about 1.6K with the server's thresholds.
+        # A setting of the caller's own wins, and the caller's environment
+        # is left as it was.
+        stdout, _ = _run_fresh(tmp_path, """
+            import json
+            import os
+            import resource
+            import sys
+
+            import numpy as np
+
+
+            def probe(index, payload, attempt):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for _ in range(2):
+                    for size in range(256 << 10, (6 << 20) + 1, 256 << 10):
+                        buffer = np.ones(size // 8)
+                        del buffer
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                with open(f"/proc/{os.getppid()}/environ", "rb") as handle:
+                    server = dict(entry.decode().split("=", 1)
+                                  for entry in handle.read().split(b"\\0") if entry)
+                return faults, {name: server[name] for name in ALLOCATOR_VARIABLES
+                                if name in server}
+
+
+            if __name__ == "__main__":
+                sys.path.insert(0, SRC)
+                from repro.resilience import SupervisedPool
+
+                os.environ.update(SETTING)
+                before = dict(os.environ)
+                [(faults, server)] = SupervisedPool(processes=1).run(
+                    probe, [0], lambda index, payload: None)
+                print(json.dumps({"faults": faults, "server": server,
+                                  "unchanged": dict(os.environ) == before}))
+            """.replace("SETTING", repr(setting))
+               .replace("ALLOCATOR_VARIABLES", repr(ALLOCATOR_VARIABLES)))
+        report = json.loads(stdout.splitlines()[-1])
+        assert report["unchanged"]
+        if setting:
+            assert report["server"] == setting
+        else:
+            assert report["faults"] < 4000
+            assert report["server"] == SERVER_THRESHOLDS
 
 
 class TestUnstartablePool:

@@ -107,6 +107,33 @@ class TestRequestCoalescer:
         assert stats["fused_requests"] > 0
         assert stats["flushes"] < len(requests)
 
+    @pytest.mark.parametrize("models", [["U"], ["F", "U"]],
+                             ids=["alone", "behind-a-fusable-one"])
+    def test_a_request_that_cannot_fuse_is_flushed_at_once(self, models):
+        # Waiting out the budget could not find it a fusion partner.
+        coalescer = RequestCoalescer(lambda m, ts: [0.0] * len(ts),
+                                     max_wait_ms=500.0, fusable=lambda m: m == "F")
+        try:
+            start = time.monotonic()
+            futures = [coalescer.submit(model, _triples([(0, 0, 1)])) for model in models]
+            assert [future.result(timeout=10) for future in futures] == [[0.0]] * len(models)
+            assert time.monotonic() - start < 0.25
+        finally:
+            coalescer.close()
+
+    def test_fusable_requests_still_wait_for_a_partner(self):
+        calls = []
+        coalescer = RequestCoalescer(_composition_sensitive_scorer(calls),
+                                     max_wait_ms=500.0, fusable=lambda m: m == "F")
+        requests = [_triples([(0, 0, 1)]), _triples([(1, 0, 2)])]
+        try:
+            futures = [coalescer.submit("F", request) for request in requests]
+            for future in futures:
+                future.result(timeout=10)
+        finally:
+            coalescer.close()
+        assert calls == [("F", tuple(requests[0] + requests[1]))]
+
     def test_fusion_respects_max_batch(self):
         calls = []
         coalescer = RequestCoalescer(_composition_sensitive_scorer(calls),
